@@ -9,12 +9,17 @@ the Table 2 overhead.
 
 Correctness and cost are separated deliberately:
 
-* The canonical store is a plain dict + sorted numpy snapshot, giving
-  exact translations and fast vectorized :meth:`translate_array`.
+* The canonical store is three sorted int64 columns — entry starts, ends
+  and host starts — kept in place with ``searchsorted`` and splicing,
+  giving exact translations and fast vectorized :meth:`translate_array`.
+  A :class:`MapEntry` is built only when one entry is asked for.
 * Every mutation/lookup is *mirrored* into the configured backend — the
   real red–black tree or the real radix tree — and the nodes/levels the
   backend actually touches are converted to nanoseconds. No asymptotic
-  hand-waving: rebalancing work is whatever the tree really did.
+  hand-waving: rebalancing work is whatever the tree really did. A
+  mapping's entries go to the backend together, in ascending GPA order,
+  and are charged as one visit/level delta: the charge is linear in the
+  count, so the sum is the same as entry by entry.
 
 A last-entry cache (TLB-like) fronts :meth:`translate`; sequential
 translations through a large VM-RAM entry hit it almost always, which is
@@ -25,12 +30,12 @@ insertion (Fig. 4(a)) is not — inserts can't be cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.hw.costs import CostModel
-from repro.hw.memory import FrameRange, pfns_to_ranges
+from repro.hw.memory import pfns_to_ranges
 from repro.virt.radixmap import RadixMap
 from repro.virt.rbtree import RedBlackTree
 
@@ -71,14 +76,19 @@ class _RbBackend:
     def _delta(self, before: int) -> int:
         return (self.tree.visits - before) * self.costs.rb_node_visit_ns
 
-    def insert_run(self, entry: MapEntry) -> int:
+    def insert_runs(self, starts: np.ndarray, ends: np.ndarray,
+                    hpas: np.ndarray) -> int:
         before = self.tree.visits
-        self.tree.insert(entry.gpa_start_pfn, entry)
+        insert = self.tree.insert
+        for start, hpa in zip(starts.tolist(), hpas.tolist()):
+            insert(start, hpa)
         return self._delta(before)
 
-    def delete_run(self, entry: MapEntry) -> int:
+    def delete_runs(self, starts: np.ndarray, ends: np.ndarray) -> int:
         before = self.tree.visits
-        self.tree.delete(entry.gpa_start_pfn)
+        delete = self.tree.delete
+        for start in starts.tolist():
+            delete(start)
         return self._delta(before)
 
     def lookup(self, gpa_pfn: int) -> int:
@@ -102,16 +112,21 @@ class _RadixBackend:
     def _delta(self, before: int) -> int:
         return (self.map.levels_touched - before) * self.costs.radix_level_ns
 
-    def insert_run(self, entry: MapEntry) -> int:
+    def insert_runs(self, starts: np.ndarray, ends: np.ndarray,
+                    hpas: np.ndarray) -> int:
         before = self.map.levels_touched
-        for i in range(entry.npages):
-            self.map.insert(entry.gpa_start_pfn + i, entry.hpa_start_pfn + i)
+        insert = self.map.insert
+        for start, end, hpa in zip(starts.tolist(), ends.tolist(), hpas.tolist()):
+            for i in range(end - start):
+                insert(start + i, hpa + i)
         return self._delta(before)
 
-    def delete_run(self, entry: MapEntry) -> int:
+    def delete_runs(self, starts: np.ndarray, ends: np.ndarray) -> int:
         before = self.map.levels_touched
-        for i in range(entry.npages):
-            self.map.delete(entry.gpa_start_pfn + i)
+        delete = self.map.delete
+        for start, end in zip(starts.tolist(), ends.tolist()):
+            for gpa in range(start, end):
+                delete(gpa)
         return self._delta(before)
 
     def lookup(self, gpa_pfn: int) -> int:
@@ -143,34 +158,14 @@ class VmmMemoryMap:
         #: contiguous Kitten exports. ``coalesce=True`` is our ablation C:
         #: merge contiguous host runs into single entries before inserting.
         self.coalesce = coalesce
-        self.entries: dict = {}  # gpa_start_pfn -> MapEntry
-        self._snapshot: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        #: Entry ``i`` maps guest frames ``[starts[i], ends[i])`` to host
+        #: frames from ``hpas[i]``; sorted by start, never overlapping.
+        self._starts = self._ends = self._hpas = np.empty(0, dtype=np.int64)
         self._cache: Optional[MapEntry] = None
         self.total_work_ns = 0
         self.last_op_work_ns = 0
         self.cache_hits = 0
         self.cache_misses = 0
-
-    # -- snapshot ------------------------------------------------------------------
-
-    def _arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._snapshot is None:
-            if self.entries:
-                starts = np.array(sorted(self.entries), dtype=np.int64)
-                ends = np.array(
-                    [self.entries[int(s)].gpa_end_pfn for s in starts], dtype=np.int64
-                )
-                hpas = np.array(
-                    [self.entries[int(s)].hpa_start_pfn for s in starts], dtype=np.int64
-                )
-            else:
-                starts = ends = hpas = np.empty(0, dtype=np.int64)
-            self._snapshot = (starts, ends, hpas)
-        return self._snapshot
-
-    def _invalidate(self) -> None:
-        self._snapshot = None
-        self._cache = None
 
     def _charge(self, ns: int) -> None:
         self.total_work_ns += ns
@@ -192,62 +187,59 @@ class VmmMemoryMap:
         npages = len(hpa_pfns)
         if npages == 0:
             raise ValueError("empty mapping")
-        if self._overlaps(gpa_start_pfn, npages):
-            raise ValueError(
-                f"gpa range [{gpa_start_pfn}, {gpa_start_pfn + npages}) overlaps"
-            )
-        self.last_op_work_ns = 0
-        gpa = gpa_start_pfn
+        end = gpa_start_pfn + npages
+        pos = int(np.searchsorted(self._starts, gpa_start_pfn))
+        if (pos > 0 and self._ends[pos - 1] > gpa_start_pfn) or (
+                pos < len(self._starts) and self._starts[pos] < end):
+            raise ValueError(f"gpa range [{gpa_start_pfn}, {end}) overlaps")
         if coalesce:
             runs = pfns_to_ranges(hpa_pfns)
+            hpas, lengths = runs.starts, runs.lengths
         else:
-            runs = [FrameRange(int(p), 1) for p in hpa_pfns]
-        for run in runs:
-            entry = MapEntry(gpa, run.nframes, run.start_pfn)
-            self._charge(self.backend.insert_run(entry))
-            self.entries[gpa] = entry
-            gpa += run.nframes
-        self._invalidate()
+            hpas, lengths = hpa_pfns, np.ones(npages, dtype=np.int64)
+        if hpas.min() < 0:  # a run's lowest frame is its start
+            raise ValueError(f"negative host pfn {int(hpas.min())}")
+        ends = gpa_start_pfn + np.cumsum(lengths)
+        starts = ends - lengths
+        self.last_op_work_ns = 0
+        self._charge(self.backend.insert_runs(starts, ends, hpas))
+        # concatenate, not np.insert: a tenth of the call overhead
+        self._starts = np.concatenate((self._starts[:pos], starts, self._starts[pos:]))
+        self._ends = np.concatenate((self._ends[:pos], ends, self._ends[pos:]))
+        self._hpas = np.concatenate((self._hpas[:pos], hpas, self._hpas[pos:]))
+        self._cache = None
         return self.last_op_work_ns
 
     def remove_mapping(self, gpa_start_pfn: int, npages: int) -> int:
         """Remove every entry fully inside the GPA range."""
+        if npages <= 0:
+            raise ValueError(f"bad removal size {npages}")
         self.last_op_work_ns = 0
         end = gpa_start_pfn + npages
-        doomed = [
-            e
-            for s, e in self.entries.items()
-            if gpa_start_pfn <= s and e.gpa_end_pfn <= end
-        ]
-        covered = sum(e.npages for e in doomed)
-        if covered != npages:
+        i = int(np.searchsorted(self._starts, gpa_start_pfn))
+        j = int(np.searchsorted(self._ends, end, side="right"))
+        if int((self._ends[i:j] - self._starts[i:j]).sum()) != npages:
             raise KeyError(
                 f"gpa range [{gpa_start_pfn}, {end}) does not match whole entries"
             )
-        for entry in doomed:
-            self._charge(self.backend.delete_run(entry))
-            del self.entries[entry.gpa_start_pfn]
-        self._invalidate()
+        self._charge(self.backend.delete_runs(self._starts[i:j], self._ends[i:j]))
+        self._starts = np.concatenate((self._starts[:i], self._starts[j:]))
+        self._ends = np.concatenate((self._ends[:i], self._ends[j:]))
+        self._hpas = np.concatenate((self._hpas[:i], self._hpas[j:]))
+        self._cache = None
         return self.last_op_work_ns
-
-    def _overlaps(self, gpa_start: int, npages: int) -> bool:
-        starts, ends, _ = self._arrays()
-        if len(starts) == 0:
-            return False
-        i = int(np.searchsorted(starts, gpa_start, side="right")) - 1
-        if i >= 0 and ends[i] > gpa_start:
-            return True
-        j = int(np.searchsorted(starts, gpa_start, side="left"))
-        return j < len(starts) and starts[j] < gpa_start + npages
 
     # -- translation ------------------------------------------------------------------
 
+    def _entry(self, i: int) -> MapEntry:
+        start = int(self._starts[i])
+        return MapEntry(start, int(self._ends[i]) - start, int(self._hpas[i]))
+
     def _entry_for(self, gpa_pfn: int) -> MapEntry:
-        starts, ends, _ = self._arrays()
-        i = int(np.searchsorted(starts, gpa_pfn, side="right")) - 1
-        if i < 0 or gpa_pfn >= ends[i]:
+        i = int(np.searchsorted(self._starts, gpa_pfn, side="right")) - 1
+        if i < 0 or gpa_pfn >= self._ends[i]:
             raise TranslationError(f"gpa pfn {gpa_pfn} unmapped")
-        return self.entries[int(starts[i])]
+        return self._entry(i)
 
     def translate(self, gpa_pfn: int) -> int:
         """GPA→HPA for one page, through the last-entry cache."""
@@ -273,7 +265,7 @@ class VmmMemoryMap:
         if len(gpa_pfns) == 0:
             raise ValueError("empty translation")
         self.last_op_work_ns = 0
-        starts, ends, hpas = self._arrays()
+        starts, ends, hpas = self._starts, self._ends, self._hpas
         if len(starts) == 0:
             raise TranslationError("memory map is empty")
         idx = np.searchsorted(starts, gpa_pfns, side="right") - 1
@@ -299,7 +291,7 @@ class VmmMemoryMap:
         self._charge(hits * self.costs.memmap_cache_hit_ns)
         for i in run_starts:
             self._charge(self.backend.lookup(int(gpa_pfns[i])))
-        self._cache = self.entries[int(starts[idx[-1]])]
+        self._cache = self._entry(idx[-1])
         return hpas[idx] + (gpa_pfns - starts[idx])
 
     def peek_translate_array(self, gpa_pfns: np.ndarray) -> np.ndarray:
@@ -309,7 +301,7 @@ class VmmMemoryMap:
         cost is part of ordinary memory-access time, not VMM work).
         """
         gpa_pfns = np.asarray(gpa_pfns, dtype=np.int64)
-        starts, ends, hpas = self._arrays()
+        starts, ends, hpas = self._starts, self._ends, self._hpas
         if len(starts) == 0:
             raise TranslationError("memory map is empty")
         idx = np.searchsorted(starts, gpa_pfns, side="right") - 1
@@ -322,7 +314,7 @@ class VmmMemoryMap:
     @property
     def num_entries(self) -> int:
         """Entries currently in the map."""
-        return len(self.entries)
+        return len(self._starts)
 
     @property
     def backend_size(self) -> int:
@@ -331,5 +323,4 @@ class VmmMemoryMap:
 
     def max_gpa_pfn(self) -> int:
         """One past the highest mapped guest PFN (for GPA allocation)."""
-        _starts, ends, _ = self._arrays()
-        return int(ends.max()) if len(ends) else 0
+        return int(self._ends[-1]) if len(self._ends) else 0

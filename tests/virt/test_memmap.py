@@ -113,6 +113,64 @@ def test_remove_partial_range_rejected(mmap):
         mmap.remove_mapping(0, 5)
 
 
+@pytest.fixture(params=[(b, c) for b in ("rbtree", "radix") for c in (False, True)],
+                ids=lambda p: f"{p[0]}-{'coalesce' if p[1] else 'per_page'}")
+def any_mmap(request):
+    backend, coalesce = request.param
+    return VmmMemoryMap(CostModel(), backend=backend, coalesce=coalesce)
+
+
+def test_negative_host_pfn_rejected(any_mmap):
+    with pytest.raises(ValueError, match="negative"):
+        any_mmap.insert_mapping(0, np.array([5, -1, 7], dtype=np.int64))
+    with pytest.raises(ValueError, match="negative"):
+        any_mmap.insert_mapping(0, np.array([-3, -2], dtype=np.int64))
+
+
+def test_empty_or_negative_removal_rejected(any_mmap):
+    any_mmap.insert_mapping(0, np.arange(100, 110, dtype=np.int64))
+    for npages in (0, -1):
+        with pytest.raises(ValueError):
+            any_mmap.remove_mapping(0, npages)
+    assert any_mmap.num_entries in (1, 10)
+    assert (any_mmap.translate_array(np.arange(10)) == np.arange(100, 110)).all()
+
+
+#: Measured on the per-entry dict store this columnar one replaced:
+#: (two RAM-block inserts, three attachment inserts, middle removal,
+#: translate walk, cache hits, cache misses, entries left).
+_PINNED = {
+    ("rbtree", False): ([15, 30], [18435, 24000, 26385], 15495, 24368, 1022, 194, 194),
+    ("rbtree", True): ([15, 30], [11445, 15165, 16605], 9180, 16726, 1084, 132, 132),
+    ("radix", False): ([24576, 24576], [4608] * 3, 4608, 13400, 1022, 194, 194),
+    ("radix", True): ([24576, 24576], [4608] * 3, 4608, 10672, 1084, 132, 132),
+}
+
+
+@pytest.mark.parametrize("backend, coalesce", sorted(_PINNED))
+def test_cost_accounting_pinned(backend, coalesce):
+    """Coalesced RAM blocks, three attachments of 32 contiguous plus 64
+    scattered host frames, the middle one removed, then one walk over all
+    that is left: every charged ns and cache count is a literal."""
+    mm = VmmMemoryMap(CostModel(), backend=backend, coalesce=coalesce)
+    ram = [mm.insert_mapping(0, np.arange(5000, 5512), coalesce=True),
+           mm.insert_mapping(512, np.arange(9000, 9512), coalesce=True)]
+    attachments = [
+        np.r_[np.arange(20000, 20032), np.arange(40000, 40128, 2)] + 1000 * k
+        for k in range(3)
+    ]
+    inserts = [mm.insert_mapping(1024 + 96 * k, hpas)
+               for k, hpas in enumerate(attachments)]
+    removed = mm.remove_mapping(1024 + 96, 96)
+    gpas = np.r_[np.arange(0, 1120), np.arange(1216, 1312)]
+    got = mm.translate_array(gpas)
+    want = np.r_[np.arange(5000, 5512), np.arange(9000, 9512),
+                 attachments[0], attachments[2]]
+    assert (got == want).all()
+    assert (ram, inserts, removed, mm.last_op_work_ns, mm.cache_hits,
+            mm.cache_misses, mm.num_entries) == _PINNED[backend, coalesce]
+
+
 def test_max_gpa_pfn(mmap):
     assert mmap.max_gpa_pfn() == 0
     mmap.insert_mapping(100, np.arange(5, dtype=np.int64) + 50)
@@ -192,3 +250,46 @@ def test_property_translation_is_exact(hpa_list):
     assert (got == hpas).all()
     peek = mmap.peek_translate_array(np.arange(len(hpas), dtype=np.int64))
     assert (peek == hpas).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["rbtree", "radix"]),
+    st.lists(
+        st.tuples(st.integers(0, 40), st.lists(st.integers(0, 300), min_size=1,
+                                                max_size=12, unique=True),
+                  st.booleans(), st.booleans()),
+        min_size=1, max_size=12,
+    ),
+)
+def test_property_matches_page_dict_model(backend, ops):
+    """Mappings placed in random free slots (below and above existing
+    ones) and removed again agree page by page with a plain dict."""
+    mm = VmmMemoryMap(CostModel(), backend=backend)
+    model = {}      # gpa -> hpa
+    mappings = []   # (gpa_start, npages, entries)
+    for slot, hpa_list, coalesce, remove_one in ops:
+        hpas = np.array(hpa_list, dtype=np.int64)
+        gpa = 1000 * slot
+        if any(g in model for g in range(gpa, gpa + len(hpas))):
+            with pytest.raises(ValueError, match="overlaps"):
+                mm.insert_mapping(gpa, hpas, coalesce)
+        else:
+            before = mm.num_entries
+            mm.insert_mapping(gpa, hpas, coalesce)
+            mappings.append((gpa, len(hpas), mm.num_entries - before))
+            model.update(zip(range(gpa, gpa + len(hpas)), hpa_list))
+        if remove_one and mappings:
+            gpa, npages, entries = mappings.pop(len(mappings) // 2)
+            before = mm.num_entries
+            mm.remove_mapping(gpa, npages)
+            assert before - mm.num_entries == entries
+            for g in range(gpa, gpa + npages):
+                del model[g]
+        assert mm.num_entries == sum(e for _g, _n, e in mappings)
+        assert mm.max_gpa_pfn() == max((g + n for g, n, _e in mappings), default=0)
+        if model:
+            gpas = np.array(sorted(model), dtype=np.int64)
+            want = np.array([model[g] for g in gpas.tolist()], dtype=np.int64)
+            assert (mm.translate_array(gpas) == want).all()
+            assert [mm.translate(int(g)) for g in gpas[::5]] == want[::5].tolist()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.virt.rbtree import RedBlackTree
+from tests.virt.reference_rbtree import RedBlackTree as ReferenceRedBlackTree
 
 
 def test_insert_get_roundtrip():
@@ -145,3 +146,54 @@ def test_property_floor_matches_reference(keys, query):
     below = [k for k in keys if k <= query]
     expected = (max(below), str(max(below))) if below else None
     assert t.floor(query) == expected
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(1, 6)),
+        st.tuples(st.just("insert"), st.integers(0, 3000)),
+        st.tuples(st.just("delete"), st.integers(0, 3000)),
+        st.tuples(st.just("delete_max"), st.just(0)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2000), unique=True, max_size=40), _OPS)
+def test_property_visits_match_frozen_reference(initial, ops):
+    """Every op charges the visits of the original tree, which has no
+    append path: ascending appends, random inserts (duplicates included),
+    deletes of random keys and of the maximum followed by more appends."""
+    tree, ref = RedBlackTree(), ReferenceRedBlackTree()
+
+    def both(op, key):
+        outcomes = []
+        for t in (tree, ref):
+            try:
+                if op == "insert":
+                    t.insert(key, key)
+                else:
+                    t.delete(key)
+                outcomes.append(None)
+            except KeyError:
+                outcomes.append(KeyError)
+        assert outcomes[0] is outcomes[1]
+        assert tree.visits == ref.visits
+        assert tree.keys() == ref.keys()
+        tree.validate()
+
+    for k in initial:
+        both("insert", k)
+    for op, arg in ops:
+        keys = ref.keys()
+        if op == "append":
+            top = keys[-1] if keys else 0
+            for step in range(1, arg + 1):
+                both("insert", top + 3 * step)
+        elif op == "insert":
+            both("insert", arg)
+        elif op == "delete":
+            both("delete", keys[arg % len(keys)] if keys and arg % 2 else arg)
+        elif keys:
+            both("delete", keys[-1])
