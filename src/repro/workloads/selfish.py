@@ -44,8 +44,9 @@ class SelfishDetour:
 
     def detours(self, t0: int, t1: int,
                 sources: Optional[Sequence[str]] = None) -> List[DetourEvent]:
-        """All detours whose start lies in [t0, t1), longest-first-stable
-        ordering by time. ``sources`` filters by tag prefix."""
+        """All detours whose start lies in [t0, t1), sorted by start time
+        (stable: ties keep noise sources first, in profile order, then
+        the core's steal log). ``sources`` filters by tag prefix."""
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
         out: List[DetourEvent] = []
