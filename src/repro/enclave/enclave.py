@@ -95,7 +95,8 @@ class Channel:
         self.a = a
         self.b = b
         self.name = name or f"{a.name}<->{b.name}"
-        #: Set when the channel is registered with an EnclaveSystem.
+        #: Set when the channel is registered with an EnclaveSystem (the
+        #: Pisces channel's multi-co-kernel dispatch penalty reads it).
         self.system = None
         self.closed = False
         self.messages_sent = 0
@@ -142,16 +143,6 @@ class Channel:
         o.counter("channel.msgs").inc()
         if msg.npfns:
             o.counter("channel.pfns").inc(msg.npfns)
-        if self.system is not None and self.system.trace.enabled:
-            self.system.trace.record(
-                src.engine.now,
-                "msg",
-                command=msg.kind,
-                hop=f"{src.name}->{dst.name}",
-                src=msg.payload.get("src"),
-                dst=msg.payload.get("dst"),
-                npfns=msg.npfns,
-            )
         if verdict == "drop":
             o.counter("faults.msgs.dropped").inc()
             return

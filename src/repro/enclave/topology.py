@@ -23,16 +23,11 @@ class EnclaveSystem:
     """All enclaves and channels on one node."""
 
     def __init__(self, node):
-        from repro.sim.record import TraceRecorder
-
         self.node = node
         self.engine = node.engine
         self.enclaves: List[Enclave] = []
         self.channels: List[Channel] = []
         self.name_server_enclave: Optional[Enclave] = None
-        #: Optional protocol trace: enable to record every cross-enclave
-        #: message hop (kind, hop, envelope, PFN count) with timestamps.
-        self.trace = TraceRecorder(enabled=False)
 
     def add_enclave(self, enclave: Enclave) -> None:
         """Register an enclave (and its channels) with the system."""

@@ -37,7 +37,7 @@ from repro.obs.tracer import RingBuffer
 #: Default tumbling-window width: one simulated millisecond.
 DEFAULT_WINDOW_NS = 1_000_000
 
-#: Default ring cap on retained windows (like TraceRecorder's event cap).
+#: Default ring cap on retained windows.
 DEFAULT_MAX_WINDOWS = 4096
 
 

@@ -18,10 +18,6 @@ Exports:
   per :attr:`Span.track` (enclaves, cores, devices), so a Perfetto
   timeline shows one lane per enclave/device.
 * :meth:`Tracer.to_jsonl` — one JSON object per span, streaming-friendly.
-
-The :class:`RingBuffer` here is also the single bounded-recording
-primitive for :class:`repro.sim.record.TraceRecorder`, which sits on top
-of this module (one recording path).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from repro.sim import fastpath
 from repro.sim.engine import Engine, Event, Timeout, SimError
 from repro.sim.process import Process, Interrupt
 from repro.sim.resources import Resource, Mutex, ResourceStats
-from repro.sim.record import TraceRecorder, SeriesStats
+from repro.sim.record import SeriesStats
 
 __all__ = [
     "fastpath",
@@ -29,6 +29,5 @@ __all__ = [
     "Resource",
     "Mutex",
     "ResourceStats",
-    "TraceRecorder",
     "SeriesStats",
 ]

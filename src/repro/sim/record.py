@@ -1,16 +1,15 @@
-"""Trace recording and summary statistics for simulation runs.
+"""Summary statistics for simulation runs.
 
 Benchmarks record samples (e.g. per-attachment durations, per-run
 completion times) into :class:`SeriesStats`; figures are generated from
-these summaries. :class:`TraceRecorder` keeps optional full event traces
-for debugging and for the noise-profile figure, which needs every detour.
+these summaries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 
 @dataclass
@@ -58,87 +57,6 @@ class SeriesStats:
             "min": self.min if self.count else float("nan"),
             "max": self.max if self.count else float("nan"),
         }
-
-
-@dataclass
-class TraceEvent:
-    """A single timestamped trace record."""
-
-    time_ns: int
-    kind: str
-    detail: dict = field(default_factory=dict)
-
-
-class TraceRecorder:
-    """Collects :class:`TraceEvent` records, filterable by kind.
-
-    Recording can be disabled (the default for large benchmark runs) in
-    which case :meth:`record` is a cheap no-op.
-
-    Storage is a :class:`repro.obs.tracer.RingBuffer` — the same bounded
-    recording primitive the span tracer uses — so ``max_events`` caps
-    memory on long noise-profile runs, with evictions counted in
-    :attr:`dropped` instead of failing silently. Every record is also
-    mirrored into the ambient :mod:`repro.obs` tracer (as an instant
-    event on the ``track`` lane) whenever one is enabled, so there is a
-    single recording path feeding trace exports.
-    """
-
-    def __init__(self, enabled: bool = True, max_events: Optional[int] = None,
-                 track: str = "trace"):
-        from repro.obs.tracer import RingBuffer
-
-        self.enabled = enabled
-        self.track = track
-        self._buf = RingBuffer(max_events)
-
-    def record(self, time_ns: int, kind: str, **detail) -> None:
-        """Append one timestamped event (no-op when disabled)."""
-        if not self.enabled:
-            return
-        self._buf.append(TraceEvent(time_ns, kind, detail))
-        from repro.obs import context as _obs_context
-
-        ctx = _obs_context.get()
-        if ctx.tracer.enabled:
-            ctx.tracer.instant(kind, time_ns, track=self.track, **detail)
-        if self._buf.dropped and ctx.metrics.enabled:
-            # Ring-cap evictions as a gauge (set only once drops start,
-            # so capless runs export byte-identical snapshots) — this is
-            # what makes truncation visible on serve-report dashboards
-            # and in the Prometheus exposition instead of only via
-            # ``inspect``.
-            ctx.metrics.gauge("trace.recorder.dropped").set(self._buf.dropped)
-
-    @property
-    def events(self) -> List[TraceEvent]:
-        """All retained events, oldest first."""
-        return list(self._buf)
-
-    @property
-    def max_events(self) -> Optional[int]:
-        """The ring cap (None = unbounded)."""
-        return self._buf.max_events
-
-    @property
-    def dropped(self) -> int:
-        """Events evicted by the ring cap."""
-        return self._buf.dropped
-
-    def of_kind(self, kind: str) -> List[TraceEvent]:
-        """All recorded events of one kind, in order."""
-        return [ev for ev in self._buf if ev.kind == kind]
-
-    def series(self, kind: str, key: str) -> List[Tuple[int, float]]:
-        """(time_ns, detail[key]) pairs for all events of ``kind``."""
-        return [(ev.time_ns, ev.detail[key]) for ev in self.of_kind(kind)]
-
-    def clear(self) -> None:
-        """Drop all recorded events."""
-        self._buf.clear()
-
-    def __len__(self) -> int:
-        return len(self._buf)
 
 
 def percentile(sorted_xs: List[float], q: float) -> float:

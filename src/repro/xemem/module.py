@@ -45,7 +45,9 @@ from repro.xemem.ids import (
 from repro.xemem.nameserver import NameServer
 from repro.xemem import overload as OV
 from repro.xemem.routing import RoutingError, RoutingTable
-from repro.xemem.shmem import AttachedRegion, ExportedSegment, GrantTable, LiveCounts
+from repro.xemem.shmem import (
+    ApGrant, AttachedRegion, ExportedSegment, GrantTable, LiveCounts,
+)
 
 #: Bound on the retried-request replay cache (FIFO eviction). Large
 #: enough that a response outlives its request's full retry budget.
@@ -186,13 +188,18 @@ class XememModule:
             obs.get().counter("xemem.msgs.undeliverable").inc()
 
     def _request_policy(self):
-        """(deadline_ns, max_retries, backoff) — (None, 0, 1) = park forever."""
+        """(deadline_ns, max_retries, backoff). A None deadline waits on
+        the response with no timer: the fault-free channel always
+        delivers, and the far side always answers (with a result or, when
+        overload is armed, a paced rejection worth retrying)."""
         if self.request_timeout_ns is not None:
             return self.request_timeout_ns, self.max_request_retries, 2
         injector = self.engine.faults
         if injector is not None and injector.active:
             plan = injector.plan
             return plan.request_timeout_ns, plan.max_retries, plan.backoff_factor
+        if self.overload is not None:
+            return None, self.overload.cfg.max_client_retries, 1
         return None, 0, 1
 
     @staticmethod
@@ -215,78 +222,36 @@ class XememModule:
         """Generator: send and wait for the correlated response.
 
         Returns the response message; raises :class:`XememError` if the
-        response carries an error field. With a fault plan armed (or an
-        explicit ``request_timeout_ns``) the wait is bounded: the request
-        is retried under exponential backoff and raises
-        :class:`XememTimeout` when the budget is exhausted. Retries reuse
-        the req_id, so receivers can deduplicate replays.
+        response carries an error field. With a deadline (a fault plan
+        armed, or an explicit ``request_timeout_ns``) each unanswered
+        attempt times out and is retried under exponential backoff;
+        :class:`XememTimeout` is raised when the attempts run out.
+        Retries reuse the req_id, so receivers can deduplicate replays.
+
+        With overload protection armed, backpressure is honored: (a) a
+        per-destination circuit breaker fails fast while the far side is
+        *silent* (consecutive timeouts — a rejection is a healthy, fast
+        answer and never trips it), (b) a per-module retry *budget* is
+        charged for timeout-driven retries only, so unpaced storms cannot
+        amplify an overloaded server — retry-after retries are paced by
+        the server itself and ride free, and (c) backoff jitter and
+        retry-after waits are drawn from the module's seeded overload
+        RNG stream (never module-level ``random`` — REP002). An unarmed
+        module surfaces a server's rejection as it arrives.
         """
         req_id = msg.payload["req_id"]
-        if self.overload is not None:
-            result = yield from self._request_protected(msg, self.overload)
-            return result
-        deadline_ns, max_retries, backoff = self._request_policy()
-        if deadline_ns is None:
-            # Fault-free baseline: park on the response event with no
-            # timer. This path is byte-identical to the pre-fault code.
-            event = self.engine.event(name=f"req:{req_id}")
-            self._pending[req_id] = event
-            yield from self._send(msg)
-            resp: KernelMessage = yield event
-            return self._check_response(resp)
-        o = obs.get()
-        for attempt in range(max_retries + 1):
-            event = self.engine.event(name=f"req:{req_id}#{attempt}")
-            self._pending[req_id] = event
-            if attempt:
-                o.counter("xemem.req.retries").inc()
-            try:
-                yield from self._send(msg)
-            except (RoutingError, ChannelClosedError) as err:
-                if self._pending.get(req_id) is event:
-                    del self._pending[req_id]
-                raise XememError(
-                    f"cannot deliver {msg.kind} from {self.enclave.name!r}: {err}"
+        ov = self.overload
+        if ov is not None:
+            dst = msg.payload.get("dst")
+            dst_key = "ns" if dst is None else f"e{dst}"
+            breaker = ov.breaker_for(dst_key)
+            if not breaker.allow():
+                raise XememOverload(
+                    f"{msg.kind} {req_id}: circuit open to {dst_key}",
+                    retry_after_ns=breaker.retry_after_ns(),
+                    verdict="breaker-open",
                 )
-            which, value = yield self.engine.any_of(
-                [event, self.engine.sleep(deadline_ns)]
-            )
-            if which == 0:
-                return self._check_response(value)
-            if self._pending.get(req_id) is event:
-                del self._pending[req_id]
-            o.counter("xemem.req.timeouts").inc()
-            deadline_ns *= backoff
-        raise XememTimeout(
-            f"{msg.kind} {req_id} unanswered after {max_retries + 1} attempt(s)"
-        )
-
-    def _request_protected(self, msg: KernelMessage, ov: "OV.ModuleOverload"):
-        """Generator: :meth:`_request` with backpressure honored.
-
-        Replaces unbounded exponential backoff with (a) a per-destination
-        circuit breaker that fails fast while the far side is *silent*
-        (consecutive timeouts — an overload rejection is a healthy, fast
-        answer and never trips it), (b) a per-module retry *budget*
-        charged to timeout-driven retries only, so unpaced storms cannot
-        amplify an overloaded server — retry-after retries are paced by
-        the server itself and ride free, and (c) seeded backoff jitter
-        and retry-after-hint waits drawn from the module's overload RNG
-        stream (never module-level ``random`` — REP002)."""
-        req_id = msg.payload["req_id"]
-        o = obs.get()
-        dst = msg.payload.get("dst")
-        dst_key = "ns" if dst is None else f"e{dst}"
-        breaker = ov.breaker_for(dst_key)
-        if not breaker.allow():
-            raise XememOverload(
-                f"{msg.kind} {req_id}: circuit open to {dst_key}",
-                retry_after_ns=breaker.retry_after_ns(),
-                verdict="breaker-open",
-            )
-        deadline_ns, max_retries, backoff = self._request_policy()
-        attempts = (max_retries if deadline_ns is not None
-                    else ov.cfg.max_client_retries)
+        deadline_ns, attempts, backoff = self._request_policy()
         last_overload: Optional[XememOverload] = None
         for attempt in range(attempts + 1):
             event = self.engine.event(name=f"req:{req_id}#{attempt}")
@@ -300,52 +265,46 @@ class XememModule:
                     f"cannot deliver {msg.kind} from {self.enclave.name!r}: {err}"
                 )
             if deadline_ns is None:
-                # no fault plan: the server always answers — with a result
-                # or an overload rejection — so no timer is needed
                 resp: KernelMessage = yield event
             else:
-                which, value = yield self.engine.any_of(
+                which, resp = yield self.engine.any_of(
                     [event, self.engine.sleep(deadline_ns)]
                 )
                 if which != 0:
                     if self._pending.get(req_id) is event:
                         del self._pending[req_id]
-                    o.counter("xemem.req.timeouts").inc()
-                    breaker.record_failure()
+                    obs.get().counter("xemem.req.timeouts").inc()
+                    if ov is not None:
+                        breaker.record_failure()
                     if attempt < attempts:
                         # the unpaced kind of retry: charge the budget
-                        if not ov.budget.try_spend():
+                        if ov is not None and not ov.budget.try_spend():
                             raise XememOverload(
                                 f"{msg.kind} {req_id}: retry budget exhausted",
                                 retry_after_ns=ov.cfg.retry_budget_window_ns,
                                 verdict="budget-exhausted",
                             )
-                        o.counter("xemem.req.retries").inc()
+                        obs.get().counter("xemem.req.retries").inc()
                         deadline_ns *= backoff
-                        jitter = ov.jitter_ns()
+                        jitter = ov.jitter_ns() if ov is not None else 0
                         if jitter:
                             yield self.engine.sleep(jitter)
                     continue
-                resp = value
-            try:
-                result = self._check_response(resp)
-            except XememOverload as err:
-                # a rejection is the far side answering promptly — proof
-                # of liveness, not breaker fodder; honor its pacing
+            if ov is not None:
+                # any answer — result, error or rejection — proves liveness
                 breaker.record_success()
-                o.counter("xemem.req.backpressured").inc()
+            try:
+                return self._check_response(resp)
+            except XememOverload as err:
+                if ov is None:
+                    raise
+                # the far side answered promptly; honor its pacing
+                obs.get().counter("xemem.req.backpressured").inc()
                 last_overload = err
                 if attempt < attempts:
                     wait = err.retry_after_ns + ov.jitter_ns()
                     if wait:
                         yield self.engine.sleep(wait)
-                continue
-            except XememError:
-                # an application-level error is still a healthy answer
-                breaker.record_success()
-                raise
-            breaker.record_success()
-            return result
         if last_overload is not None:
             raise XememOverload(
                 f"{msg.kind} {req_id}: still overloaded after "
@@ -366,10 +325,11 @@ class XememModule:
         return result
 
     def _discover(self):
+        # (1) broadcast: find a channel with a path to the name server.
+        # Each attempt uses a fresh token, so a late ack for an abandoned
+        # broadcast is dropped as stray rather than racing a newer one.
         deadline_ns, max_retries, backoff = self._request_policy()
-        if deadline_ns is None:
-            # Fault-free baseline (byte-identical to the pre-fault code):
-            # (1) broadcast: find a channel with a path to the name server
+        for attempt in range(max_retries + 1):
             token = self._next_req_id()
             event = self.engine.event(name=f"ping:{token}")
             self._ping_pending[token] = event
@@ -377,85 +337,33 @@ class XememModule:
                 self._spawn_send_on(
                     channel, C.make_command(C.PING_NS_PATH, None, None, token=token)
                 )
-            first_channel: Channel = yield event
+            if deadline_ns is None:
+                ns_channel = yield event
+                break
+            which, ns_channel = yield self.engine.any_of(
+                [event, self.engine.sleep(deadline_ns)]
+            )
+            if which == 0:
+                break
+            self._ping_pending.pop(token, None)
+            obs.get().counter("xemem.req.timeouts").inc()
+            deadline_ns *= backoff
         else:
-            first_channel = yield from self._discover_ping(
-                deadline_ns, max_retries, backoff
+            raise XememTimeout(
+                f"enclave {self.enclave.name!r} found no name-server path after "
+                f"{max_retries + 1} broadcast(s)"
             )
-        self.routing.ns_channel = first_channel
-        # (2) request an enclave ID through that channel
-        req_id = self._next_req_id()
-        if deadline_ns is None:
-            event = self.engine.event(name=f"req:{req_id}")
-            self._pending[req_id] = event
-            yield from first_channel.send(
-                self.enclave,
-                C.make_command(C.ALLOC_ENCLAVE_ID, None, None, req_id=req_id),
-            )
-            resp: KernelMessage = yield event
-        else:
-            resp = yield from self._discover_alloc(
-                first_channel, req_id, deadline_ns, max_retries, backoff
-            )
+        self.routing.ns_channel = ns_channel
+        # (2) request an enclave ID through that channel: an ordinary
+        # request (dst None goes out on ns_channel); the req_id is stable
+        # across retries so forwarders and the name server deduplicate
+        resp = yield from self._request(
+            C.make_command(C.ALLOC_ENCLAVE_ID, None, None,
+                           req_id=self._next_req_id())
+        )
         self.enclave.enclave_id = resp.payload["enclave_id"]
         self.routing.discovered = True
         return self.enclave.enclave_id
-
-    def _discover_ping(self, deadline_ns: int, max_retries: int, backoff: int):
-        """Bounded discovery step 1: re-broadcast the ping until acked.
-
-        Each attempt uses a fresh token, so a late ack for an abandoned
-        broadcast is dropped as stray rather than racing a newer one.
-        """
-        o = obs.get()
-        for attempt in range(max_retries + 1):
-            token = self._next_req_id()
-            event = self.engine.event(name=f"ping:{token}")
-            self._ping_pending[token] = event
-            for channel in self.enclave.channels:
-                self._spawn_send_on(
-                    channel, C.make_command(C.PING_NS_PATH, None, None, token=token)
-                )
-            which, value = yield self.engine.any_of(
-                [event, self.engine.sleep(deadline_ns)]
-            )
-            if which == 0:
-                return value
-            self._ping_pending.pop(token, None)
-            o.counter("xemem.req.timeouts").inc()
-            deadline_ns *= backoff
-        raise XememTimeout(
-            f"enclave {self.enclave.name!r} found no name-server path after "
-            f"{max_retries + 1} broadcast(s)"
-        )
-
-    def _discover_alloc(self, channel: Channel, req_id: str, deadline_ns: int,
-                        max_retries: int, backoff: int):
-        """Bounded discovery step 2. The req_id is stable across retries so
-        forwarders and the name server can deduplicate replays."""
-        o = obs.get()
-        for attempt in range(max_retries + 1):
-            event = self.engine.event(name=f"req:{req_id}#{attempt}")
-            self._pending[req_id] = event
-            if attempt:
-                o.counter("xemem.req.retries").inc()
-            yield from channel.send(
-                self.enclave,
-                C.make_command(C.ALLOC_ENCLAVE_ID, None, None, req_id=req_id),
-            )
-            which, value = yield self.engine.any_of(
-                [event, self.engine.sleep(deadline_ns)]
-            )
-            if which == 0:
-                return value
-            if self._pending.get(req_id) is event:
-                del self._pending[req_id]
-            o.counter("xemem.req.timeouts").inc()
-            deadline_ns *= backoff
-        raise XememTimeout(
-            f"enclave-id allocation {req_id} unanswered after "
-            f"{max_retries + 1} attempt(s)"
-        )
 
     def _spawn_send_on(self, channel: Channel, msg: KernelMessage) -> None:
         self.engine.spawn(
@@ -568,14 +476,16 @@ class XememModule:
             event.trigger(msg)
             return
         if self.overload is not None and kind not in C.ONE_WAY:
-            yield from self._serve_admitted(msg, self.overload)
+            yield from self._serve_admitted(msg, self.overload, self._serve)
             return
         yield from self._serve(msg)
 
     # -- overload admission (armed only) -----------------------------------
 
-    def _serve_admitted(self, msg: KernelMessage, ov: "OV.ModuleOverload"):
-        """Owner-side serving behind the bounded admission queue."""
+    def _serve_admitted(self, msg: KernelMessage, ov: "OV.ModuleOverload",
+                        serve):
+        """Run the ``serve(msg)`` generator behind the bounded admission
+        queue (owner-side serving and name-server dispatch alike)."""
         try:
             verdict = yield from ov.controller.admit(msg.kind)
         except XememError:
@@ -586,7 +496,7 @@ class XememModule:
             self._reject_overloaded(msg, verdict, ov)
             return
         try:
-            yield from self._serve(msg)
+            yield from serve(msg)
         finally:
             ov.controller.release()
 
@@ -756,18 +666,7 @@ class XememModule:
             ov.controller.count_shed_direct()
             self._reject_overloaded(msg, OV.SHED, ov)
             return
-        try:
-            verdict = yield from ov.controller.admit(kind)
-        except XememError:
-            obs.get().counter("overload.aborted").inc()
-            return
-        if verdict != OV.SERVE:
-            self._reject_overloaded(msg, verdict, ov)
-            return
-        try:
-            yield from self._dispatch_at_name_server(msg)
-        finally:
-            ov.controller.release()
+        yield from self._serve_admitted(msg, ov, self._dispatch_at_name_server)
 
     def _dispatch_at_name_server(self, msg: KernelMessage):
         ns = self.nameserver
@@ -1246,9 +1145,6 @@ class XememModule:
             )
 
             def lossy_send(msg=msg):
-                from repro.enclave.enclave import ChannelClosedError
-                from repro.xemem.routing import RoutingError
-
                 try:
                     yield from self._send(msg)
                 except (RoutingError, ChannelClosedError):
@@ -1330,23 +1226,32 @@ class XememModule:
         if force:
             # Outstanding waiters (signal waits, in-flight requests) would
             # otherwise hang forever against a departed enclave.
-            err = XememError(f"enclave {self.enclave.name!r} departed")
-            for cell in self._signal_state.values():
-                waiters, cell[1] = cell[1], []
-                for event in waiters:
-                    if not event.triggered:
-                        event.fail(err)
-            for pending in (self._pending, self._ping_pending):
-                events = list(pending.values())
-                pending.clear()
-                for event in events:
-                    if not event.triggered:
-                        event.fail(err)
-            if self.overload is not None:
-                self.overload.fail_all(err)
-        # Drop *all* per-registration state, not just the segments: stale
-        # grants, attachment refcounts, and signal subscriptions must not
-        # survive into a later re-join of the same enclave.
+            self._fail_waiters(XememError(f"enclave {self.enclave.name!r} departed"))
+        self._drop_registration_state()
+        self._apid_counter = itertools.count(1)
+        return True
+
+    def _fail_waiters(self, err: XememError) -> None:
+        """Fail every parked waiter: signal waits, in-flight requests,
+        discovery pings, and queued admissions."""
+        for cell in self._signal_state.values():
+            waiters, cell[1] = cell[1], []
+            for event in waiters:
+                if not event.triggered:
+                    event.fail(err)
+        for pending in (self._pending, self._ping_pending):
+            events = list(pending.values())
+            pending.clear()
+            for event in events:
+                if not event.triggered:
+                    event.fail(err)
+        if self.overload is not None:
+            self.overload.fail_all(err)
+
+    def _drop_registration_state(self) -> None:
+        """Drop *all* per-registration state, not just the segments: stale
+        grants, attachment refcounts, and signal subscriptions must not
+        survive into a later re-join of the same enclave."""
         self.segments.clear()
         self.grants.clear()
         self._live_attachments.clear()
@@ -1357,9 +1262,7 @@ class XememModule:
         self._forwarded.clear()
         self._served_responses.clear()
         self._in_service.clear()
-        self._apid_counter = itertools.count(1)
         self.routing.discovered = False
-        return True
 
     def crash(self) -> None:
         """Fail-stop this enclave's XEMEM service (no protocol, no costs).
@@ -1380,33 +1283,10 @@ class XememModule:
                 segments=len(self.segments),
                 live_attachments=len(self._live_attachments),
             )
-        err = XememError(f"enclave {self.enclave.name!r} crashed")
-        for cell in self._signal_state.values():
-            waiters, cell[1] = cell[1], []
-            for event in waiters:
-                if not event.triggered:
-                    event.fail(err)
-        for pending in (self._pending, self._ping_pending):
-            events = list(pending.values())
-            pending.clear()
-            for event in events:
-                if not event.triggered:
-                    event.fail(err)
-        if self.overload is not None:
-            self.overload.fail_all(err)
-        self.segments.clear()
-        self.grants.clear()
-        self._live_attachments.clear()
-        self._attachments_by_apid.clear()
-        self._smartmap_refs.clear()
-        self._signal_subs.clear()
-        self._signal_state.clear()
-        self._forwarded.clear()
-        self._served_responses.clear()
-        self._in_service.clear()
+        self._fail_waiters(XememError(f"enclave {self.enclave.name!r} crashed"))
+        self._drop_registration_state()
         self.routing.routes.clear()
         self.routing.ns_channel = None
-        self.routing.discovered = False
         obs.get().counter("faults.modules.crashed").inc()
 
     def invalidate_dead_segments(self, dead_segids, pfn_window,

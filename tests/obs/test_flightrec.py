@@ -138,28 +138,6 @@ def test_armed_recorder_is_invisible_to_figures():
     assert armed == dark
 
 
-def test_trace_recorder_dropped_gauge():
-    """Ring-cap evictions surface as a gauge and in the Prometheus
-    exposition (the satellite), and capless runs stay gauge-free."""
-    from repro.obs.export import prometheus_text
-    from repro.sim.record import TraceRecorder
-
-    with obs.observing(trace=False, metrics=True) as ctx:
-        rec = TraceRecorder(max_events=4)
-        for i in range(10):
-            rec.record(i * 10, "tick", n=i)
-    assert rec.dropped == 6
-    snap = ctx.snapshot()
-    assert snap["trace.recorder.dropped"] == 6.0
-    assert "trace_recorder_dropped 6" in prometheus_text(ctx.metrics)
-
-    with obs.observing(trace=False, metrics=True) as ctx:
-        rec = TraceRecorder()
-        for i in range(10):
-            rec.record(i * 10, "tick", n=i)
-    assert "trace.recorder.dropped" not in ctx.snapshot()
-
-
 def test_span_tracer_dropped_gauge():
     """The span tracer's ring-cap drops fold into the snapshot too."""
     with obs.observing(trace=True, metrics=True, max_trace_events=2) as ctx:

@@ -1,10 +1,10 @@
-"""Unit tests for SeriesStats, TraceRecorder, percentile."""
+"""Unit tests for SeriesStats and percentile."""
 
 import math
 
 import pytest
 
-from repro.sim import SeriesStats, TraceRecorder
+from repro.sim import SeriesStats
 from repro.sim.record import percentile
 
 
@@ -42,69 +42,6 @@ def test_series_stats_matches_numpy():
     s.extend(xs)
     assert s.mean == pytest.approx(float(np.mean(xs)))
     assert s.stdev == pytest.approx(float(np.std(xs, ddof=1)))
-
-
-def test_trace_recorder_filters_by_kind():
-    tr = TraceRecorder()
-    tr.record(10, "detour", duration=5.0)
-    tr.record(20, "attach", size=4096)
-    tr.record(30, "detour", duration=6.0)
-    assert len(tr) == 3
-    assert [ev.time_ns for ev in tr.of_kind("detour")] == [10, 30]
-    assert tr.series("detour", "duration") == [(10, 5.0), (30, 6.0)]
-
-
-def test_trace_recorder_disabled_is_noop():
-    tr = TraceRecorder(enabled=False)
-    tr.record(1, "x")
-    assert len(tr) == 0
-
-
-def test_trace_recorder_clear():
-    tr = TraceRecorder()
-    tr.record(1, "x")
-    tr.clear()
-    assert len(tr) == 0
-
-
-def test_trace_recorder_ring_cap_keeps_newest():
-    tr = TraceRecorder(max_events=3)
-    for t in range(10):
-        tr.record(t, "e", i=t)
-    assert len(tr) == 3
-    assert [ev.time_ns for ev in tr.events] == [7, 8, 9]
-    assert tr.dropped == 7
-    assert tr.max_events == 3
-
-
-def test_trace_recorder_unbounded_reports_no_drops():
-    tr = TraceRecorder()
-    for t in range(100):
-        tr.record(t, "e")
-    assert tr.max_events is None
-    assert tr.dropped == 0
-
-
-def test_trace_recorder_clear_resets_drop_counter():
-    tr = TraceRecorder(max_events=1)
-    tr.record(1, "a")
-    tr.record(2, "b")
-    assert tr.dropped == 1
-    tr.clear()
-    assert tr.dropped == 0
-
-
-def test_trace_recorder_mirrors_into_obs_tracer():
-    from repro import obs
-
-    with obs.observing(trace=True, metrics=False) as ctx:
-        tr = TraceRecorder(track="system")
-        tr.record(42, "msg", command="ping")
-    (span,) = ctx.tracer.spans
-    assert span.name == "msg"
-    assert span.track == "system"
-    assert span.start_ns == span.end_ns == 42
-    assert span.attrs == {"command": "ping"}
 
 
 def test_percentile_nearest_rank():

@@ -1,11 +1,20 @@
-"""Verify the exact Fig. 3 message sequences via the protocol trace."""
+"""Verify the exact Fig. 3 message sequences from the channel spans.
 
-import pytest
+Every Pisces channel transfer is a ``pisces.transfer`` span carrying the
+command ``kind``, its PFN count ``npfns``, and the channel as ``track``.
+"""
 
+from repro import obs
 from repro.hw.costs import PAGE_4K
 from repro.xemem import XpmemApi
 
 from tests.xemem.conftest import build_system
+
+
+def _hops(ctx):
+    """The channel transfers of a traced run, in start order."""
+    spans = [s for s in ctx.tracer.spans if s.name == "pisces.transfer"]
+    return sorted(spans, key=lambda s: (s.start_ns, s.span_id))
 
 
 def test_attach_flow_message_sequence(basic):
@@ -14,13 +23,11 @@ def test_attach_flow_message_sequence(basic):
     pairs, with the PFN list riding only on the attach response."""
     rig = basic
     eng = rig["engine"]
-    trace = rig["system"].trace
     kitten = rig["cokernels"][0].kernel
     linux = rig["linux"].kernel
     kp = kitten.create_process("exp")
     lp = linux.create_process("att", core_id=2)
     heap = kitten.heap_region(kp)
-    trace.enabled = True
 
     def run():
         api_k, api_l = XpmemApi(kp), XpmemApi(lp)
@@ -29,9 +36,10 @@ def test_attach_flow_message_sequence(basic):
         att = yield from api_l.xpmem_attach(apid)
         return att
 
-    eng.run_process(run())
-    kinds = [ev.detail["command"] for ev in trace.of_kind("msg")]
-    assert kinds == [
+    with obs.observing(trace=True, metrics=False) as ctx:
+        eng.run_process(run())
+    hops = _hops(ctx)
+    assert [s.attrs["kind"] for s in hops] == [
         "alloc_segid",      # export: Kitten asks the name server (Fig. 3: 2-3)
         "segid_assigned",
         "get_req",          # NS resolves the owner, forwards (Fig. 3: route)
@@ -39,8 +47,8 @@ def test_attach_flow_message_sequence(basic):
         "attach_req",       # Fig. 3: 4-5
         "attach_resp",      # Fig. 3: 6-7, carrying the PFN list
     ]
-    pfn_counts = [ev.detail["npfns"] for ev in trace.of_kind("msg")]
-    assert pfn_counts == [0, 0, 0, 0, 0, 16]  # only the attach response
+    # only the attach response carries PFNs
+    assert [s.attrs["npfns"] for s in hops] == [0, 0, 0, 0, 0, 16]
 
 
 def test_sibling_attach_routes_two_hops_each_way():
@@ -48,7 +56,6 @@ def test_sibling_attach_routes_two_hops_each_way():
     protocol message appears on two channel hops."""
     rig = build_system(num_cokernels=2)
     eng = rig["engine"]
-    trace = rig["system"].trace
     k0, k1 = (e.kernel for e in rig["cokernels"])
     exp = k0.create_process("exp")
     att_p = k1.create_process("att")
@@ -60,19 +67,19 @@ def test_sibling_attach_routes_two_hops_each_way():
         return segid
 
     segid = eng.run_process(setup())
-    trace.enabled = True
 
     def attach():
         api_a = XpmemApi(att_p)
         apid = yield from api_a.xpmem_get(segid)
         yield from api_a.xpmem_attach(apid)
 
-    eng.run_process(attach())
-    hops = [(ev.detail["command"], ev.detail["hop"]) for ev in trace.of_kind("msg")]
+    with obs.observing(trace=True, metrics=False) as ctx:
+        eng.run_process(attach())
+    hops = [(s.attrs["kind"], s.track) for s in _hops(ctx)]
     # each of the four protocol messages crosses exactly two channels
     assert len(hops) == 8
-    attach_resp_hops = [h for k, h in hops if k == "attach_resp"]
-    assert attach_resp_hops == ["kitten0->linux", "linux->kitten1"]
+    attach_resp_hops = [track for kind, track in hops if kind == "attach_resp"]
+    assert attach_resp_hops == ["linux<->kitten0", "linux<->kitten1"]
 
 
 def test_trace_disabled_records_nothing(basic):
@@ -86,5 +93,7 @@ def test_trace_disabled_records_nothing(basic):
         api = XpmemApi(kp)
         yield from api.xpmem_make(heap.start, PAGE_4K)
 
-    eng.run_process(run())
-    assert len(rig["system"].trace) == 0
+    with obs.observing(trace=False, metrics=True) as ctx:
+        eng.run_process(run())
+        assert obs.get().metrics.counter("channel.msgs").value == 2
+    assert ctx.tracer.spans == []
