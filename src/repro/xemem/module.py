@@ -240,6 +240,7 @@ class XememModule:
         module surfaces a server's rejection as it arrives.
         """
         req_id = msg.payload["req_id"]
+        o = obs.get()
         ov = self.overload
         if ov is not None:
             dst = msg.payload.get("dst")
@@ -273,7 +274,7 @@ class XememModule:
                 if which != 0:
                     if self._pending.get(req_id) is event:
                         del self._pending[req_id]
-                    obs.get().counter("xemem.req.timeouts").inc()
+                    o.counter("xemem.req.timeouts").inc()
                     if ov is not None:
                         breaker.record_failure()
                     if attempt < attempts:
@@ -284,7 +285,7 @@ class XememModule:
                                 retry_after_ns=ov.cfg.retry_budget_window_ns,
                                 verdict="budget-exhausted",
                             )
-                        obs.get().counter("xemem.req.retries").inc()
+                        o.counter("xemem.req.retries").inc()
                         deadline_ns *= backoff
                         jitter = ov.jitter_ns() if ov is not None else 0
                         if jitter:
@@ -299,7 +300,7 @@ class XememModule:
                 if ov is None:
                     raise
                 # the far side answered promptly; honor its pacing
-                obs.get().counter("xemem.req.backpressured").inc()
+                o.counter("xemem.req.backpressured").inc()
                 last_overload = err
                 if attempt < attempts:
                     wait = err.retry_after_ns + ov.jitter_ns()
