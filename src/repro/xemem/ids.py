@@ -40,9 +40,9 @@ class XememOverload(XememError):
     server's seeded, deterministic retry-after hint so callers (and the
     module's own retry loop) can back off without guessing.
 
-    Only raised while overload protection is armed
-    (:func:`repro.xemem.overload.arm_overload`); the unarmed module is
-    byte-identical to the pre-overload code."""
+    Only raised while overload protection is armed on some module
+    (:func:`repro.xemem.overload.arm_overload`); an unarmed client
+    surfaces an armed owner's rejection once, without retrying."""
 
     def __init__(self, message: str, retry_after_ns: int = 0,
                  verdict: str = "reject"):

@@ -9,8 +9,8 @@ goodput collapses — the classic retry-storm congestion spiral of any
 serving stack.
 
 This module is the protection layer, armed explicitly per rig (default
-off — an unarmed module is byte-identical to the pre-overload code, the
-same zero-cost contract :mod:`repro.faults` keeps):
+off — an unarmed module schedules no extra event and draws no random
+number, the same zero-cost contract :mod:`repro.faults` keeps):
 
 * :class:`AdmissionController` — a bounded, virtual-time-aware request
   queue in front of each serving module. Policies: ``fail-fast``

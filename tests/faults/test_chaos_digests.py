@@ -6,14 +6,20 @@ retry budget and retry-after pacing. The sha256 of each run's bundle
 ``MANIFEST.json`` covers the spans, metrics and flight-recorder notes
 those paths produce, so a refactor of the request code that reorders a
 single scheduled call, RNG draw or counter shows up here.
+
+The bundle's ``config.json`` records the ``REPRO_*`` environment apart
+from the twin switches, so the runs here clear the other ``REPRO_*``
+variables (CI sets ``REPRO_AUDIT`` and ``REPRO_CHAOS_SEED``).
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.faults.chaos import run_chaos
+from repro.obs.flightrec import TWIN_ENV
 
 #: (seed, overload spec) -> sha256 of the bundle's MANIFEST.json.
 MANIFEST_SHA256 = {
@@ -28,7 +34,11 @@ MANIFEST_SHA256 = {
 
 @pytest.mark.parametrize("seed,overload_spec", sorted(
     MANIFEST_SHA256, key=lambda k: (k[0], k[1] or "")))
-def test_chaos_bundle_manifest_is_pinned(tmp_path, seed, overload_spec):
+def test_chaos_bundle_manifest_is_pinned(tmp_path, monkeypatch, seed,
+                                        overload_spec):
+    for key in list(os.environ):
+        if key.startswith("REPRO_") and key not in TWIN_ENV:
+            monkeypatch.delenv(key)
     report = run_chaos(seed=seed, with_audit=False,
                        flightrec_dir=str(tmp_path / "bundle"),
                        overload_spec=overload_spec)
