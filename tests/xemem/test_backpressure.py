@@ -31,13 +31,13 @@ def _rig_with_segment():
     return rig, seg.segid
 
 
-def _saturate(controller, kind=C.ATTACH_REQ):
+def _saturate(controller):
     """Fill every serve slot and the whole queue of ``controller`` (the
     probe that finds it full counts one rejection); returns how many
     admissions now hold it (one release each frees it)."""
     held = 0
     while True:
-        verdict, _ = controller.try_admit(kind)
+        verdict, _ = controller.try_admit(C.ATTACH_REQ)
         if verdict is not None and verdict != SERVE:
             return held
         held += 1
