@@ -5,16 +5,13 @@ entries. ``seq`` is a monotonically increasing tiebreaker so that events
 scheduled for the same instant fire in scheduling order — this is what
 makes the whole simulation deterministic. Carrying ``args`` in the queue
 entry lets awaitables schedule a bound method plus its arguments (a
-"slot" callback) instead of allocating a fresh closure per event — the
-``engine_slots`` fast path (see :mod:`repro.sim.fastpath`).
+"slot" callback) instead of allocating a fresh closure per event.
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, Iterable, Optional
-
-from repro.sim.fastpath import FASTPATH
 
 #: Virtual time units per second. All engine times are integer nanoseconds.
 NS_PER_SEC = 1_000_000_000
@@ -50,14 +47,9 @@ class Timeout(Awaitable):
         self.value = value
 
     def subscribe(self, callback) -> None:
-        if FASTPATH.engine_slots:
-            self.engine.call_at(
-                self.engine.now + self.delay_ns, callback, self.value, None
-            )
-        else:
-            self.engine.call_at(
-                self.engine.now + self.delay_ns, lambda: callback(self.value, None)
-            )
+        self.engine.call_at(
+            self.engine.now + self.delay_ns, callback, self.value, None
+        )
 
 
 class Event(Awaitable):
@@ -94,12 +86,7 @@ class Event(Awaitable):
             # Resume on the next loop turn (still at the current instant) so
             # a yield on an already-triggered event never re-enters the
             # yielding process synchronously.
-            if FASTPATH.engine_slots:
-                self.engine.call_at(self.engine.now, callback, self._value, self._exc)
-            else:
-                self.engine.call_at(
-                    self.engine.now, lambda: callback(self._value, self._exc)
-                )
+            self.engine.call_at(self.engine.now, callback, self._value, self._exc)
         else:
             self._callbacks.append(callback)
 
@@ -110,12 +97,8 @@ class Event(Awaitable):
         self._done = True
         self._value = value
         callbacks, self._callbacks = self._callbacks, []
-        if FASTPATH.engine_slots:
-            for cb in callbacks:
-                self.engine.call_at(self.engine.now, cb, value, None)
-        else:
-            for cb in callbacks:
-                self.engine.call_at(self.engine.now, lambda cb=cb: cb(value, None))
+        for cb in callbacks:
+            self.engine.call_at(self.engine.now, cb, value, None)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -125,12 +108,8 @@ class Event(Awaitable):
         self._done = True
         self._exc = exc
         callbacks, self._callbacks = self._callbacks, []
-        if FASTPATH.engine_slots:
-            for cb in callbacks:
-                self.engine.call_at(self.engine.now, cb, None, exc)
-        else:
-            for cb in callbacks:
-                self.engine.call_at(self.engine.now, lambda cb=cb: cb(None, exc))
+        for cb in callbacks:
+            self.engine.call_at(self.engine.now, cb, None, exc)
         return self
 
 
@@ -145,7 +124,7 @@ class AllOf(Awaitable):
         pending = len(self.items)
         results: list = [None] * pending
         if pending == 0:
-            self.engine.call_at(self.engine.now, lambda: callback([], None))
+            self.engine.call_at(self.engine.now, callback, [], None)
             return
         state = {"left": pending, "failed": False}
 
@@ -214,7 +193,9 @@ class Engine:
         self.now: int = 0
         self._queue: list = []
         self._seq = 0
-        self._processes: list = []  # live (unfinished) processes, for diagnostics
+        # Live (unfinished) processes in spawn order: a dict used as an
+        # insertion-ordered set, so pruning a finished one is O(1).
+        self._processes: dict = {}
         from repro.obs import context as _obs_context
 
         ctx = _obs_context.get()
@@ -280,22 +261,25 @@ class Engine:
         from repro.sim.process import Process
 
         proc = Process(self, gen, name=name)
-        self._processes.append(proc)
+        self._processes[proc] = None
         if self.obs is not None:
             self.obs.on_spawn(self, proc)
         return proc
 
     def _process_finished(self, proc) -> None:
-        """Prune a finished process from the diagnostics list.
+        """Prune a finished process from the live-process table.
 
         Called by :class:`~repro.sim.process.Process` exactly once per
         finish, so long runs spawning millions of short-lived processes
-        do not leak them here.
+        do not leak them here. A process that is not in the table
+        finished twice or was never spawned here: an engine bug.
         """
         try:
-            self._processes.remove(proc)
-        except ValueError:
-            pass
+            del self._processes[proc]
+        except KeyError:
+            raise SimError(
+                f"process {proc.name!r} finished twice or was never spawned"
+            ) from None
         if self.obs is not None:
             self.obs.on_finish(self, proc)
 
@@ -321,7 +305,7 @@ class Engine:
         scheduled *exactly at* ``until_ns`` do run.
         """
         queue = self._queue
-        if self.obs is None and FASTPATH.engine_slots:
+        if self.obs is None:
             # Batched drain: identical semantics to the step() loop below,
             # with the heap pop and dispatch inlined (no per-event method
             # calls or observer checks).

@@ -1,9 +1,9 @@
 """Global fast-path switchboard for the simulation core.
 
 Large-figure runs (Fig. 5/6, Table 2) simulate multi-GiB attaches; at
-that scale the simulator's own overhead — per-event lambda allocation,
-one event chain per IPI chunk round, per-leaf numpy loops over 512-entry
-page tables, per-page demand-paging faults — dominates wall-clock time.
+that scale the simulator's own overhead — one event chain per IPI chunk
+round, per-leaf numpy loops over 512-entry page tables, per-page
+demand-paging faults — dominates wall-clock time.
 Each fast path below replaces one of those hot loops with a batched or
 cached equivalent that is **semantics-preserving**: identical virtual
 end times, identical observability counters (fast paths may only add
@@ -13,9 +13,6 @@ enforces this differentially.
 
 Flags (all default on; see docs/COSTMODEL.md for the invariants):
 
-* ``engine_slots`` — ``Timeout``/``Event`` resume waiters via
-  args-carrying queue entries instead of allocating a fresh lambda per
-  event, and ``Engine.run`` drains the queue in a tight loop.
 * ``ipi_batching`` — a burst of identical back-to-back IPI chunk rounds
   collapses into one closed-form core reservation when the target core
   is uncontended (:meth:`repro.hw.interrupts.InterruptController.send_ipi_burst`).
@@ -50,7 +47,6 @@ from typing import Iterator
 class FastPath:
     """The set of independently toggleable fast-path flags."""
 
-    engine_slots: bool = True
     ipi_batching: bool = True
     walk_cache: bool = True
     range_vectorize: bool = True

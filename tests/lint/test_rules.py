@@ -178,7 +178,7 @@ def test_rep005_nested_gates():
 
 def test_rep005_else_twin_ok():
     check(_FP + "def f():\n"
-          "    if FASTPATH.engine_slots:\n        a = 1\n"
+          "    if FASTPATH.ipi_batching:\n        a = 1\n"
           "    else:\n        a = 2\n    return a\n", [])
 
 

@@ -222,3 +222,38 @@ def test_yielding_non_awaitable_fails_process():
 
     with pytest.raises(SimError, match="must yield Awaitable"):
         eng.run_process(proc())
+
+
+def _sleeper(eng, delay):
+    yield eng.sleep(delay)
+
+
+def test_live_processes_stay_in_spawn_order_when_finishing_out_of_order():
+    eng = Engine()
+    p40, p10, p30, p20 = (
+        eng.spawn(_sleeper(eng, d), name=f"p{d}") for d in (40, 10, 30, 20)
+    )
+    assert eng.live_processes == (p40, p10, p30, p20)
+    eng.run(until_ns=15)
+    assert eng.live_processes == (p40, p30, p20)
+    eng.run(until_ns=25)
+    assert eng.live_processes == (p40, p30)
+    eng.run()
+    assert eng.live_processes == ()
+
+
+def test_state_summary_lists_live_process_names_sorted():
+    eng = Engine()
+    for name, delay in (("gamma", 30), ("alpha", 10), ("beta", 20), ("delta", 40)):
+        eng.spawn(_sleeper(eng, delay), name=name)
+    assert eng.state_summary()["live_processes"] == ["alpha", "beta", "delta", "gamma"]
+    eng.run(until_ns=25)
+    assert eng.state_summary()["live_processes"] == ["delta", "gamma"]
+
+
+def test_process_finished_twice_is_an_engine_error():
+    eng = Engine()
+    proc = eng.spawn(_sleeper(eng, 5), name="once")
+    eng.run()
+    with pytest.raises(SimError, match="'once' finished twice or was never spawned"):
+        eng._process_finished(proc)

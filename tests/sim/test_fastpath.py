@@ -6,12 +6,12 @@ import sys
 
 import pytest
 
+from repro.obs import EngineObserver
 from repro.sim import Engine, fastpath
 from repro.sim.fastpath import FASTPATH
 
 
 def test_flags_default_on():
-    assert FASTPATH.engine_slots
     assert FASTPATH.ipi_batching
     assert FASTPATH.walk_cache
     assert FASTPATH.range_vectorize
@@ -20,16 +20,16 @@ def test_flags_default_on():
 
 def test_disabled_context_restores():
     with fastpath.disabled():
-        assert not FASTPATH.engine_slots
+        assert not FASTPATH.ipi_batching
         assert not FASTPATH.walk_cache
-    assert FASTPATH.engine_slots
+    assert FASTPATH.ipi_batching
     assert FASTPATH.walk_cache
 
 
 def test_configured_single_flag():
     with fastpath.configured(walk_cache=False):
         assert not FASTPATH.walk_cache
-        assert FASTPATH.engine_slots  # others untouched
+        assert FASTPATH.ipi_batching  # others untouched
     assert FASTPATH.walk_cache
 
 
@@ -77,6 +77,23 @@ def test_run_until_executes_events_exactly_at_boundary(fast):
         eng.run()
         assert fired == ["early", "boundary", "late"]
         assert eng.now == 101
+
+
+def test_run_until_boundary_same_under_observer():
+    """An observed engine drains through step(), not the inlined loop;
+    the until_ns boundary must behave identically."""
+    eng = Engine(obs=EngineObserver())
+    fired = []
+    eng.call_at(50, fired.append, "early")
+    eng.call_at(100, fired.append, "boundary")
+    eng.call_at(101, fired.append, "late")
+    eng.run(until_ns=100)
+    assert fired == ["early", "boundary"]
+    assert eng.now == 100
+    assert eng.queue_len == 1
+    eng.run(until_ns=500)
+    assert fired == ["early", "boundary", "late"]
+    assert eng.now == 500
 
 
 @pytest.mark.parametrize("fast", [True, False])
