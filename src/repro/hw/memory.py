@@ -421,6 +421,11 @@ class MappedRegion:
     A read-only mapping (``writable=False`` — e.g. an XEMEM attachment to
     a segment granted without write permission) refuses stores with
     :class:`PermissionError` and hands out non-writeable page views.
+
+    :attr:`pfns` is a read-only int64 array. A read-only int64 input (a
+    page-table walk's PFN list) is adopted as is, with no copy; any
+    other input is copied first, so a later write by the caller cannot
+    reach the view.
     """
 
     def __init__(self, mem: PhysicalMemory, pfns: np.ndarray, writable: bool = True):
@@ -428,8 +433,11 @@ class MappedRegion:
             raise ValueError("empty mapping")
         if pfns.min() < 0 or pfns.max() >= mem.total_frames:
             raise ValueError("mapping references frames outside physical memory")
+        if pfns.dtype != np.int64 or pfns.flags.writeable:
+            pfns = pfns.astype(np.int64, copy=True)
+            pfns.setflags(write=False)
         self.mem = mem
-        self.pfns = pfns.astype(np.int64, copy=True)
+        self.pfns = pfns
         self.nbytes = len(pfns) * PAGE_4K
         self.writable = writable
 

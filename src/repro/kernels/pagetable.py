@@ -465,6 +465,26 @@ class _ColumnarStore:
 
     def _leaf_rows(self, uleaves: np.ndarray, create: bool) -> np.ndarray:
         """Row ids for unique sorted absolute leaf numbers (-1 = absent)."""
+        pd0 = int(uleaves[0]) >> 9
+        if int(uleaves[-1]) >> 9 == pd0:
+            # The range lies under one PD (so does every aligned attach
+            # of up to 1 GiB): index its row group directly.
+            group = self._rows.get(pd0)
+            if group is None:
+                if not create:
+                    return np.full(len(uleaves), -1, dtype=np.int64)
+                group = self._rows[pd0] = np.full(ENTRIES, -1, dtype=np.int64)
+            idx = uleaves - (pd0 << 9)
+            rows = group[idx]
+            if create:
+                missing = np.flatnonzero(rows < 0)
+                if len(missing):
+                    fresh = self._alloc_rows(len(missing)) + np.arange(
+                        len(missing), dtype=np.int64
+                    )
+                    rows[missing] = fresh
+                    group[idx[missing]] = fresh
+            return rows
         rows = np.empty(len(uleaves), dtype=np.int64)
         pds = uleaves >> 9
         for pd in np.unique(pds).tolist():
@@ -597,15 +617,21 @@ class _ColumnarStore:
         npages = len(pfns)
         # Probe the existing rows first (no creation): a collision must
         # not leak fresh rows or claim the PML4 slot.
-        for flat, off, count in self._runs(vaddr, npages, create=False):
+        runs = self._runs(vaddr, npages, create=False)
+        absent = False
+        for flat, off, count in runs:
             if flat < 0:
+                absent = True
                 continue
-            taken = np.flatnonzero(self._flags[flat : flat + count])
-            if len(taken):
+            window = self._flags[flat : flat + count]
+            if window.any():
+                taken = int(np.flatnonzero(window)[0])
                 raise ValueError(
-                    f"vaddr {vaddr + (off + int(taken[0])) * PAGE_SIZE:#x} already mapped"
+                    f"vaddr {vaddr + (off + taken) * PAGE_SIZE:#x} already mapped"
                 )
-        for flat, off, count in self._runs(vaddr, npages, create=True):
+        if absent:
+            runs = self._runs(vaddr, npages, create=True)
+        for flat, off, count in runs:
             self._pfns[flat : flat + count] = pfns[off : off + count]
             self._flags[flat : flat + count] = flags
 
@@ -717,6 +743,8 @@ class PageTable:
     they cannot alter what :meth:`translate_range` returns. The walk
     cache keys on the generation, so repeated walks of an unchanged
     range (Fig. 8's recurring attachments) skip the leaf iteration.
+    A walk's PFN list is one read-only array, shared without copies by
+    the cache, the caller and anything the caller passes it to.
 
     PTE storage is delegated to a fidelity twin chosen at construction
     (see the module docstring); semantics, counters, and fault addresses
@@ -734,8 +762,9 @@ class PageTable:
         self._present = 0
         #: Bumped on every PFN-changing mutation; invalidates the walk cache.
         self.generation = 0
-        #: (vaddr, npages) -> (generation, pfns). Entries store private
-        #: copies and hits return copies, so callers can never corrupt it.
+        #: (vaddr, npages) -> (generation, pfns). Entries are the read-only
+        #: arrays :meth:`translate_range` returned; hits return them as is,
+        #: so no caller can corrupt an entry by writing to it.
         self._walk_cache: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
 
     # -- SMARTMAP routing helpers ---------------------------------------------
@@ -885,32 +914,38 @@ class PageTable:
         """PFNs for ``npages`` starting at ``vaddr`` — the page-table *walk*
         XEMEM uses to build PFN lists. Raises on any hole.
 
+        The result is a read-only int64 array on every path, so one walk
+        can be shared, uncopied, by the walk cache, the PFN message and
+        the attacher's data view; a write to it raises ``ValueError``.
         Repeated walks of an unchanged range are served from the walk
-        cache (keyed on :attr:`generation`); ranges that cross a borrowed
-        SMARTMAP slot always re-walk, since donor mutations do not bump
-        this table's generation. The timing-model counter is charged
-        either way — the cache only removes host-side leaf iteration.
+        cache (keyed on :attr:`generation`), which returns the cached
+        array itself; ranges that cross a borrowed SMARTMAP slot always
+        re-walk, since donor mutations do not bump this table's
+        generation. The timing-model counter is charged either way — the
+        cache only removes host-side leaf iteration.
         """
         from repro import obs
 
         obs.get().counter("pagetable.translate.pages").inc(npages)
         if npages == 0:
-            return np.empty(0, dtype=np.int64)
+            out = np.empty(0, dtype=np.int64)
+            out.setflags(write=False)
+            return out
         if FASTPATH.walk_cache and not self._range_touches_shared(vaddr, npages):
             key = (vaddr, npages)
             hit = self._walk_cache.get(key)
             if hit is not None and hit[0] == self.generation:
                 obs.get().counter("fastpath.walkcache.hits").inc()
-                return hit[1].copy()
+                return hit[1]
             out = self._walk(vaddr, npages)
             if hit is None and len(self._walk_cache) >= WALK_CACHE_SLOTS:
                 self._walk_cache.pop(next(iter(self._walk_cache)))
-            self._walk_cache[key] = (self.generation, out.copy())
+            self._walk_cache[key] = (self.generation, out)
             return out
         return self._walk(vaddr, npages)
 
     def _walk(self, vaddr: int, npages: int) -> np.ndarray:
-        """The uncached walk behind :meth:`translate_range`."""
+        """The uncached walk behind :meth:`translate_range` (read-only result)."""
         _check_range(vaddr, npages)
         out = np.empty(npages, dtype=np.int64)
         for store, va, take, off, rebase in self._segments(vaddr, npages):
@@ -921,6 +956,7 @@ class PageTable:
                     raise PageFault(exc.vaddr + rebase, exc.write) from None
             else:
                 store.walk_into(va, take, out[off : off + take])
+        out.setflags(write=False)
         return out
 
     def range_flags_all(self, vaddr: int, npages: int, mask: int) -> bool:
@@ -1058,11 +1094,12 @@ class PageTable:
     def walk_cache_entries(self) -> List[Tuple[int, int, int, np.ndarray]]:
         """Snapshot of the walk cache: (vaddr, npages, generation, pfns).
 
-        Audit tap — returns copies, never mutates the cache or the
-        counters, so reading it cannot perturb a run.
+        Audit tap — never mutates the cache or the counters, so reading
+        it cannot perturb a run. The PFN arrays are the cache's own
+        read-only entries.
         """
         return [
-            (vaddr, npages, gen, pfns.copy())
+            (vaddr, npages, gen, pfns)
             for (vaddr, npages), (gen, pfns) in self._walk_cache.items()
         ]
 

@@ -34,6 +34,7 @@ class GuestPhysicalMemory:
     def map_region(self, gpa_pfns: np.ndarray, writable: bool = True) -> MappedRegion:
         """Host-backed MappedRegion for a guest PFN list."""
         hpa_pfns = self.vmm.memmap.peek_translate_array(gpa_pfns)
+        hpa_pfns.setflags(write=False)  # a fresh array: the view adopts it
         return self.host_mem.map_region(hpa_pfns, writable=writable)
 
 

@@ -136,9 +136,14 @@ class PalaciosVmm:
     # -- Fig. 4(b): host attachment to guest enclave memory -------------------------
 
     def translate_guest_pfns(self, gpa_pfns: np.ndarray):
-        """Generator: walk the memory map, return the host PFN list."""
+        """Generator: walk the memory map, return the host PFN list.
+
+        Like a page-table walk's, the list is read-only, so the
+        attacher's data view adopts it without a copy.
+        """
         gpa_pfns = np.asarray(gpa_pfns, dtype=np.int64)
         hpa = self.memmap.translate_array(gpa_pfns)
+        hpa.setflags(write=False)
         yield self.engine.sleep(self.memmap.last_op_work_ns)
         return hpa
 

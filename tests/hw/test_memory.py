@@ -10,7 +10,7 @@ from repro.hw import (
     PhysicalMemory,
 )
 from repro.hw.costs import MB, PAGE_4K
-from repro.hw.memory import pfns_to_ranges, ranges_to_pfns
+from repro.hw.memory import MappedRegion, pfns_to_ranges, ranges_to_pfns
 
 
 # -- FrameRange ---------------------------------------------------------------
@@ -273,3 +273,47 @@ def test_mapping_outside_memory_rejected():
     mem = PhysicalMemory([1 * MB])
     with pytest.raises(ValueError):
         mem.map_region(np.array([mem.total_frames], dtype=np.int64))
+
+
+def _frozen(pfns):
+    pfns = np.asarray(pfns, dtype=np.int64)
+    pfns.setflags(write=False)
+    return pfns
+
+
+def test_mapping_adopts_read_only_int64_pfns():
+    """A page-table walk's read-only PFN list is shared, not copied."""
+    mem = PhysicalMemory([1 * MB])
+    pfns = _frozen([3, 1, 2])
+    region = mem.map_region(pfns)
+    assert np.shares_memory(region.pfns, pfns)
+    assert not region.pfns.flags.writeable
+
+
+def test_mapping_copies_writable_pfns():
+    mem = PhysicalMemory([1 * MB])
+    pfns = np.array([3, 1, 2], dtype=np.int64)
+    region = mem.map_region(pfns)
+    assert not np.shares_memory(region.pfns, pfns)
+    assert not region.pfns.flags.writeable
+    pfns[0] = 7  # a later caller write must not reach the view
+    np.testing.assert_array_equal(region.pfns, [3, 1, 2])
+
+
+def test_mapping_converts_int32_pfns():
+    mem = PhysicalMemory([1 * MB])
+    pfns = np.array([3, 1, 2], dtype=np.int32)
+    pfns.setflags(write=False)
+    region = MappedRegion(mem, pfns)
+    assert region.pfns.dtype == np.int64
+    assert not region.pfns.flags.writeable
+    np.testing.assert_array_equal(region.pfns, [3, 1, 2])
+
+
+def test_mapping_bounds_checked_for_adopted_pfns():
+    mem = PhysicalMemory([1 * MB])
+    for pfn in (-1, mem.total_frames):
+        with pytest.raises(ValueError):
+            mem.map_region(_frozen([0, pfn]))
+        with pytest.raises(ValueError):
+            MappedRegion(mem, np.array([0, pfn], dtype=np.int64))

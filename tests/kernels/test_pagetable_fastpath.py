@@ -97,15 +97,36 @@ def test_walk_cache_survives_flag_only_mutations():
     assert ctx.metrics.snapshot()["fastpath.walkcache.hits"] == 1
 
 
-def test_walk_cache_returns_private_copies():
+def _assert_frozen(pfns):
+    assert not pfns.flags.writeable
+    with pytest.raises(ValueError):
+        pfns[:] = -1
+
+
+def test_translate_range_returns_read_only():
+    """Every walk hands out one shared, read-only array: a stray write
+    raises instead of corrupting the walk cache."""
     with fastpath.enabled():
         pt, base = _mapped(4)
-        first = pt.translate_range(base, 4)
-        first[:] = -1  # corrupting the caller's array must not poison the cache
-        second = pt.translate_range(base, 4)
-        np.testing.assert_array_equal(second, np.arange(100, 104))
-        third = pt.translate_range(base, 4)
-        assert third is not second
+        first = pt.translate_range(base, 4)  # miss: stored and returned
+        _assert_frozen(first)
+        second = pt.translate_range(base, 4)  # hit: the cached array itself
+        _assert_frozen(second)
+        assert second is first
+        np.testing.assert_array_equal(pt.translate_range(base, 4), np.arange(100, 104))
+        _assert_frozen(pt.translate_range(base, 0))
+    with fastpath.configured(walk_cache=False):
+        pt, base = _mapped(4)
+        _assert_frozen(pt.translate_range(base, 4))
+        np.testing.assert_array_equal(pt.translate_range(base, 4), np.arange(100, 104))
+        _assert_frozen(pt.translate_range(base, 0))
+    with fastpath.enabled():
+        donor, _ = _mapped(4)
+        borrower = PageTable()
+        borrower.share_pml4_slot(1, donor)
+        crossing = borrower.translate_range(PML4_SLOT_SPAN + 0x40_0000, 4)
+        _assert_frozen(crossing)
+        np.testing.assert_array_equal(donor.translate_range(0x40_0000, 4), np.arange(100, 104))
 
 
 def test_walk_cache_eviction_is_bounded():
