@@ -398,7 +398,12 @@ class PhysicalMemory:
         raise ValueError(f"pfn {pfn} outside physical memory")
 
     def frame_view(self, pfn: int) -> np.ndarray:
-        """The writable 4096-byte array backing one frame (lazily created)."""
+        """The writable 4096-byte array backing one frame (lazily created).
+
+        Asking for the view materializes the frame. Writers go through
+        here; :meth:`MappedRegion.read` does not, and reads a frame that
+        was never materialized as zeros without creating it.
+        """
         if not 0 <= pfn < self.total_frames:
             raise ValueError(f"pfn {pfn} outside physical memory")
         frame = self._frames.get(pfn)
@@ -468,16 +473,29 @@ class MappedRegion:
             pos += take
 
     def read(self, offset: int, length: int) -> bytes:
-        """Gather ``length`` bytes starting at ``offset``."""
+        """Gather ``length`` bytes starting at ``offset`` (a copy).
+
+        A read materializes no frame: a frame that was never written
+        reads as zeros, as hardware zero-fill would, and stays absent
+        from the backing store. The bytes returned are a copy, so
+        nothing can alias the frame through them.
+        """
         self._check(offset, length)
-        out = np.empty(length, dtype=np.uint8)
+        frames = self.mem._frames
+        page, in_page = divmod(offset, PAGE_4K)
+        if 0 < length <= PAGE_4K - in_page:
+            frame = frames.get(int(self.pfns[page]))
+            if frame is None:
+                return bytes(length)
+            return frame[in_page : in_page + length].tobytes()
+        out = np.zeros(length, dtype=np.uint8)
         pos = 0
         while pos < length:
-            page = (offset + pos) // PAGE_4K
-            in_page = (offset + pos) % PAGE_4K
+            page, in_page = divmod(offset + pos, PAGE_4K)
             take = min(length - pos, PAGE_4K - in_page)
-            frame = self.mem.frame_view(int(self.pfns[page]))
-            out[pos : pos + take] = frame[in_page : in_page + take]
+            frame = frames.get(int(self.pfns[page]))
+            if frame is not None:
+                out[pos : pos + take] = frame[in_page : in_page + take]
             pos += take
         return out.tobytes()
 

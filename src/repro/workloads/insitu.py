@@ -292,6 +292,11 @@ class InSituWorkload:
                 attached.view, cfg.data_bytes, slowdown=cfg.analytics_slowdown
             )
             self._analytics_streaming = False
+            if not sres.verified:
+                raise RuntimeError(
+                    f"STREAM triad check failed on analytics pass {point} "
+                    f"of {cfg.comm_points} (seed {cfg.seed})"
+                )
             result["stream_times"].append(sres.elapsed_ns / 1e9)
             if cfg.execution == "sync":
                 yield from self._ack(api, ctl_att, ack_segid, point)

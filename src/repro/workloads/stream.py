@@ -52,25 +52,39 @@ class StreamBenchmark:
         self.costs = kernel.costs
         self.engine = kernel.engine
 
-    def _real_kernels(self, source: np.ndarray) -> tuple:
-        """Run copy/scale/add/triad for real; returns (checksum, ok)."""
-        a = source.astype(np.float64)
-        if a.size == 0:
+    @staticmethod
+    def _real_kernels(source: np.ndarray) -> tuple:
+        """Run copy/scale/add/triad for real; returns (checksum, ok).
+
+        ``ok`` is exact equality with the triad recomputed separately
+        from ``source``: both sides apply the same IEEE operations in the
+        same order, so correct kernels match bit for bit (NaN never
+        matches, as under ``allclose``). The kernels write into ``out=``
+        buffers and never into ``source``, which may be read-only.
+        """
+        if source.size == 0:
             raise ValueError("empty STREAM source")
-        c = a.copy()                      # COPY:  c = a
-        b = SCALAR * c                    # SCALE: b = q*c
-        c = a + b                         # ADD:   c = a + b
-        a2 = b + SCALAR * c               # TRIAD: a = b + q*c
-        expected = SCALAR * a + SCALAR * (a + SCALAR * a)
-        ok = bool(np.allclose(a2, expected))
+        a = source if source.dtype == np.float64 else source.astype(np.float64)
+        c = a.copy()                          # COPY:  c = a
+        b = np.multiply(SCALAR, c)            # SCALE: b = q*c
+        np.add(a, b, out=c)                   # ADD:   c = a + b
+        a2 = np.multiply(SCALAR, c)           # TRIAD: a = b + q*c
+        np.add(b, a2, out=a2)
+        # the triad recomputed from a alone: q*a + q*(a + q*a)
+        expected = np.multiply(SCALAR, a)
+        np.add(a, expected, out=expected)
+        np.multiply(SCALAR, expected, out=expected)
+        np.add(np.multiply(SCALAR, a, out=c), expected, out=expected)
+        ok = bool(np.array_equal(a2, expected))
         return float(a2.sum()), ok
 
     def run(self, attached_view, region_bytes: int, slowdown: float = 1.0):
         """Generator: copy the shared region private, STREAM over it.
 
-        ``attached_view`` is any object with ``as_array()`` (an
-        :class:`~repro.xemem.shmem.AttachedRegion` or a MappedRegion);
-        only a capped prefix is actually materialized for the real math.
+        ``attached_view`` is any object with ``npages`` and
+        ``read(offset, length)`` (a :class:`~repro.hw.memory.MappedRegion`
+        or an :class:`~repro.xemem.shmem.AttachedRegion`); only a capped
+        prefix is actually read, with one ``read`` call, for the real math.
         Returns a :class:`StreamResult`.
         """
         if region_bytes <= 0:
@@ -80,10 +94,8 @@ class StreamBenchmark:
         take_pages = min(
             attached_view.npages, max(1, REAL_ELEMENTS_CAP * 8 // 4096)
         )
-        prefix = np.concatenate(
-            [attached_view.page_view(i) for i in range(take_pages)]
-        )
-        source = prefix.view(np.float64)[:REAL_ELEMENTS_CAP]
+        prefix = attached_view.read(0, take_pages * 4096)
+        source = np.frombuffer(prefix, dtype=np.float64)[:REAL_ELEMENTS_CAP]
         copy_ns = self.costs.memcpy_ns(region_bytes)
         yield from noise_aware_compute(self.kernel, self.proc, copy_ns, slowdown)
         copy_done = self.engine.now

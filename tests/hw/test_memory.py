@@ -226,6 +226,9 @@ def test_region_bounds_checked():
         region.write(-1, b"a")
     with pytest.raises(ValueError):
         region.read(0, PAGE_4K + 1)
+    for offset, length in ((-1, 1), (-8, 8), (PAGE_4K - 4, 8), (PAGE_4K + 1, 0)):
+        with pytest.raises(ValueError):
+            region.read(offset, length)
 
 
 def test_two_mappings_alias_same_frames():
@@ -317,3 +320,41 @@ def test_mapping_bounds_checked_for_adopted_pfns():
             mem.map_region(_frozen([0, pfn]))
         with pytest.raises(ValueError):
             MappedRegion(mem, np.array([0, pfn], dtype=np.int64))
+
+
+# -- MappedRegion.read -------------------------------------------------------------
+
+
+def test_read_single_page_and_cross_page_equal_bytes_written():
+    _mem, region = make_region(nframes=3)
+    word = (0xC0FFEE01).to_bytes(8, "little")
+    region.write(PAGE_4K + 16, word)
+    assert region.read(PAGE_4K + 16, 8) == word  # single-page fast path
+    span = bytes(range(256)) * 20  # 5 KiB from mid page 0 into page 2
+    region.write(PAGE_4K - 100, span)
+    assert region.read(PAGE_4K - 100, len(span)) == span
+    assert region.read(PAGE_4K - 100, 100) == span[:100]  # ends on a boundary
+
+
+def test_read_of_untouched_frames_is_zeros_and_materializes_nothing():
+    mem, region = make_region(nframes=3)
+    region.write(PAGE_4K, b"\x07")  # only the middle frame is resident
+    before = mem.resident_frames
+    assert region.read(10, 8) == bytes(8)
+    assert region.read(0, 3 * PAGE_4K) == bytes(PAGE_4K) + b"\x07" + bytes(
+        2 * PAGE_4K - 1
+    )
+    assert region.read(0, 0) == b""
+    assert region.read(region.nbytes, 0) == b""
+    assert mem.resident_frames == before == 1
+
+
+def test_read_sees_later_write_through_another_region():
+    mem, region = make_region(nframes=2)
+    assert region.read(PAGE_4K - 4, 8) == bytes(8)  # nothing resident yet
+    alias = mem.map_region(region.pfns[::-1])
+    alias.write(0, b"\xAA" * PAGE_4K)  # frame behind region's page 1
+    alias.write(2 * PAGE_4K - 2, b"\xBB\xBB")  # end of region's page 0
+    assert region.read(PAGE_4K - 4, 8) == b"\x00\x00\xBB\xBB" + b"\xAA" * 4
+    assert region.read(PAGE_4K + 5, 1) == b"\xAA"
+

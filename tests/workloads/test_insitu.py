@@ -6,6 +6,7 @@ from repro.bench.configs import build_insitu_rig, INSITU_CONFIG_NAMES
 from repro.hw.costs import MB
 from repro.workloads.hpccg import HpccgProblem
 from repro.workloads.insitu import InSituConfig, SharedFlags
+from repro.workloads.stream import StreamBenchmark
 
 SMALL = dict(
     iterations=60,
@@ -42,6 +43,17 @@ def test_all_configs_complete_and_verify(name):
     assert res.data_marks_verified     # real shared-memory handshake worked
     assert len(res.stream_times_s) == 3
     assert len(res.attach_times_s) == 1  # one_time model
+
+
+@pytest.mark.parametrize("execution", ["sync", "async"])
+def test_failed_stream_check_raises(monkeypatch, execution):
+    """A pass whose triad identity fails stops the run, naming the pass."""
+    monkeypatch.setattr(
+        StreamBenchmark, "_real_kernels", staticmethod(lambda source: (0.0, False))
+    )
+    rig = build_insitu_rig("kitten_linux", small_config(execution=execution), seed=7)
+    with pytest.raises(RuntimeError, match="analytics pass 1 of 3"):
+        rig["workload"].run()
 
 
 def test_recurring_attaches_every_point():

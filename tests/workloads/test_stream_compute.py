@@ -1,11 +1,21 @@
 """Tests for STREAM and the noise-aware compute helper."""
 
+import struct
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hw.costs import CostModel, MB
 from repro.kernels.noise import PeriodicNoise
 from repro.workloads.compute import noise_aware_compute
-from repro.workloads.stream import STREAM_TRAFFIC_MULTIPLE, StreamBenchmark
+from repro.workloads.stream import (
+    REAL_ELEMENTS_CAP,
+    STREAM_TRAFFIC_MULTIPLE,
+    StreamBenchmark,
+)
+from tests.workloads.reference_stream import real_kernels as reference_kernels
 
 
 def test_noise_free_compute_takes_base_time(rig):
@@ -96,3 +106,58 @@ def test_stream_rejects_bad_size(rig):
 
     with pytest.raises(ValueError):
         eng.run_process(run())
+
+
+# -- real kernels vs the frozen reference -----------------------------------------
+
+_FLOAT64_MAX = float(np.finfo(np.float64).max)
+
+
+def _assert_matches_reference(values) -> bool:
+    """The kernels, fed ``values`` as ``run`` feeds them (a read-only
+    float64 view of a byte copy), return the reference's checksum bit for
+    bit and its verdict; returns that verdict."""
+    data = np.asarray(values, dtype=np.float64).tobytes()
+    source = np.frombuffer(data, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        checksum, ok = StreamBenchmark._real_kernels(source)
+        ref_checksum, ref_ok = reference_kernels(source)
+    assert struct.pack("<d", checksum) == struct.pack("<d", ref_checksum)
+    assert ok is ref_ok
+    return ok
+
+
+def test_kernels_match_reference_on_zeros_and_fill_pattern():
+    zeros = np.zeros(REAL_ELEMENTS_CAP)
+    fill3 = np.frombuffer(b"\x03" * (REAL_ELEMENTS_CAP * 8), dtype=np.float64)
+    assert _assert_matches_reference(zeros)
+    assert _assert_matches_reference(fill3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=64))
+def test_kernels_match_reference_on_finite_values(values):
+    _assert_matches_reference(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.floats(min_value=_FLOAT64_MAX / 8, max_value=_FLOAT64_MAX)
+    | st.floats(min_value=-_FLOAT64_MAX, max_value=-_FLOAT64_MAX / 8),
+    min_size=1, max_size=64,
+))
+def test_kernels_match_reference_on_overflow_to_inf(values):
+    assert _assert_matches_reference(values)  # inf == inf on both sides
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64).map(
+    lambda vs: vs + [float("nan")]))
+def test_kernels_match_reference_on_nan_bearing_values(values):
+    assert not _assert_matches_reference(values)
+
+
+def test_kernels_reject_empty_source():
+    with pytest.raises(ValueError):
+        StreamBenchmark._real_kernels(np.empty(0))
