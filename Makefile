@@ -54,13 +54,13 @@ bench:
 bench-output:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
-# Both speed gates (the 1 GiB fast-path win and the 16 GiB columnar
+# Both speed gates (the 1 GiB fast-fidelity win and the 16 GiB columnar
 # win) merge-write one results file, so run them together before the
 # comparison. The trace-capture test writes the deterministic sibling
 # capture the comparator feeds to perf-diff when a gate fails.
 bench-compare:
 	$(PYTHON) -m pytest \
-		benchmarks/test_simulator_speed.py::test_speed_fastpath_1gib_attach_speedup \
+		benchmarks/test_simulator_speed.py::test_speed_fidelity_1gib_attach_speedup \
 		benchmarks/test_simulator_speed.py::test_speed_columnar_16gib_pipeline_speedup \
 		benchmarks/test_simulator_speed.py::test_speed_trace_capture_sibling -q
 	$(PYTHON) -m repro.obs.bench benchmarks/baselines/BENCH_speed.json benchmarks/results/BENCH_speed.json --tolerance 0.15

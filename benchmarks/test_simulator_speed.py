@@ -23,7 +23,7 @@ from repro.kernels.pagetable import (
     PTE_WRITABLE,
     PageTable,
 )
-from repro.sim import fastpath, fidelity
+from repro.sim import fidelity
 from repro.virt.memmap import VmmMemoryMap
 from repro.xemem import XpmemApi
 
@@ -86,19 +86,14 @@ def test_speed_native_attach_detach_256mb(benchmark):
     benchmark(cycle)
 
 
-def _fig5_scale_cycle_seconds(enabled: bool, cycles: int, touches: int,
+def _fig5_scale_cycle_seconds(mode: str, cycles: int, touches: int,
                               npages: int) -> float:
     """Wall time for ``cycles`` attach/touch/detach rounds over a 1 GiB
     export — the Fig. 5 shape (one standing export, repeated access
-    through the attached window).
-
-    Fidelity is pinned to the detailed radix store on both sides: this
-    gate isolates the *algorithmic* fast-path win, and the columnar
-    store would otherwise absorb most of the slow side (the storage win
-    has its own gate, ``test_speed_columnar_16gib_pipeline_speedup``).
+    through the attached window) — with the whole rig built in fidelity
+    ``mode``.
     """
-    ctx = fastpath.enabled() if enabled else fastpath.disabled()
-    with ctx, fidelity.detailed():
+    with fidelity.configured(mode):
         rig = build_cokernel_system(num_cokernels=1)
         eng = rig.engine
         kitten = rig.cokernels[0].kernel
@@ -129,18 +124,21 @@ def _fig5_scale_cycle_seconds(enabled: bool, cycles: int, touches: int,
     return elapsed
 
 
-def test_speed_fastpath_1gib_attach_speedup():
-    """The fast paths must be worth their complexity: >=2x wall-clock on a
-    Fig. 5-scale run. Emits ``benchmarks/results/BENCH_speed.json``."""
+def test_speed_fidelity_1gib_attach_speedup():
+    """Fast fidelity must be worth its complexity: >=10x wall-clock over
+    the detailed reference (radix store, uncached walks, per-round IPIs,
+    per-page faults) on a Fig. 5-scale run. Emits
+    ``benchmarks/results/BENCH_speed.json``; the ``slowpath_seconds`` /
+    ``fastpath_seconds`` keys hold the detailed / fast times."""
     npages = GB // PAGE_4K
     cycles, touches = 3, 8
     # best-of-2 per mode to shave scheduler noise
     slow = min(
-        _fig5_scale_cycle_seconds(False, cycles, touches, npages)
+        _fig5_scale_cycle_seconds("detailed", cycles, touches, npages)
         for _ in range(2)
     )
     fast = min(
-        _fig5_scale_cycle_seconds(True, cycles, touches, npages)
+        _fig5_scale_cycle_seconds("fast", cycles, touches, npages)
         for _ in range(2)
     )
     speedup = slow / fast
@@ -153,10 +151,10 @@ def test_speed_fastpath_1gib_attach_speedup():
         "slowpath_seconds": round(slow, 6),
         "fastpath_seconds": round(fast, 6),
         "speedup": round(speedup, 3),
-        "required_speedup": 2.0,
+        "required_speedup": 10.0,
     })
-    assert speedup >= 2.0, (
-        f"fast paths only {speedup:.2f}x faster (slow={slow:.3f}s, "
+    assert speedup >= 10.0, (
+        f"fast fidelity only {speedup:.2f}x faster (detailed={slow:.3f}s, "
         f"fast={fast:.3f}s)"
     )
 
@@ -170,13 +168,11 @@ def _columnar_pipeline_seconds(fast_mode: bool, npages: int,
     installs the walked PFN list; each round then pins for transfer,
     probes write permission (the ``touch_pages`` fast-fault shape),
     write-touches accessed/dirty bookkeeping, scans and clears the dirty
-    column, and unpins. The detailed baseline runs the radix store with
-    every fast path off; the fast side runs the columnar store with fast
-    paths on.
+    column, and unpins. The detailed baseline runs the radix store; the
+    fast side runs the columnar store.
     """
-    fp_ctx = fastpath.enabled() if fast_mode else fastpath.disabled()
     mode = "fast" if fast_mode else "detailed"
-    with fp_ctx, fidelity.configured(mode):
+    with fidelity.configured(mode):
         pfns = np.arange(npages, dtype=np.int64)
         t0 = time.perf_counter()
         exporter = PageTable()
@@ -202,7 +198,7 @@ def _columnar_pipeline_seconds(fast_mode: bool, npages: int,
 
 def test_speed_columnar_16gib_pipeline_speedup():
     """The columnar store must be worth its complexity: >=10x wall-clock
-    over the detailed radix store (fast paths off) on a 16 GiB / 4M-page
+    over the detailed radix store on a 16 GiB / 4M-page
     recurring-attach pipeline. Merges ``columnar_*`` keys into
     ``benchmarks/results/BENCH_speed.json``."""
     npages = 16 * GB // PAGE_4K
@@ -239,16 +235,15 @@ def test_speed_trace_capture_sibling():
     ``BENCH_x.json`` → ``BENCH_x.trace.json``: when the speed gate fails,
     it feeds the committed baseline capture and this fresh one through
     ``repro.obs.diff`` and prints *which subsystem and span names* moved.
-    The capture is the Fig. 5 shape at small scale (fast paths on,
-    detailed fidelity), recorded on the virtual clock only — byte-
+    The capture is the Fig. 5 shape at small scale (detailed
+    fidelity), recorded on the virtual clock only — byte-
     identical across runs, so any diff against the baseline is a real
     behavior change, not noise.
     """
     from repro import obs
 
     npages = 4 * MB // PAGE_4K
-    with fastpath.enabled(), fidelity.detailed(), \
-            obs.observing(trace=True, metrics=False) as ctx:
+    with fidelity.detailed(), obs.observing(trace=True, metrics=False) as ctx:
         rig = build_cokernel_system(num_cokernels=1)
         eng = rig.engine
         kitten = rig.cokernels[0].kernel

@@ -37,8 +37,8 @@ from repro.kernels.pagetable import (
     PTE_USER,
     PTE_WRITABLE,
 )
-from repro.sim.fastpath import FASTPATH
 from repro.kernels.process import OSProcess
+from repro.sim.fidelity import FIDELITY
 from repro.sim.resources import Mutex
 
 
@@ -53,6 +53,9 @@ class LinuxKernel(KernelBase):
         self.map_lock = Mutex(self.engine, name=f"{self.name}.map_lock")
         self.fault_count = 0
         self.gup_pinned_pages = 0
+        #: Fidelity twin, bound once: fast mode faults a partially
+        #: populated LAZY range in one batch, detailed mode page by page.
+        self._batch_faults = FIDELITY.fast
 
     # -- anonymous memory -------------------------------------------------------------
 
@@ -165,13 +168,14 @@ class LinuxKernel(KernelBase):
 
     def _batch_faultable(self, table, region: Optional[Region], vaddr: int,
                          npages: int, write: bool) -> bool:
-        """True when the vectorized partial-population path is safe here.
+        """True when the batched partial-population path (fast mode only)
+        is safe here.
 
         A write touch must protection-fault at the first *present*
         read-only page exactly as the per-page loop would, so batching is
         only taken when every present page in the range is writable.
         """
-        if not FASTPATH.fault_vectorize or npages <= 0:
+        if not self._batch_faults or npages <= 0:
             return False
         if region is None or region.kind is not RegionKind.LAZY:
             return False

@@ -1,9 +1,10 @@
 """Real 4-level x86-64 page tables with two storage-fidelity twins.
 
 :class:`PageTable` owns the translation *semantics* — validation,
-SMARTMAP slot borrowing, the generation-keyed walk cache, presence
-accounting — and delegates PTE storage to one of two interchangeable
-backing stores, chosen at construction by :data:`repro.sim.fidelity.FIDELITY`:
+SMARTMAP slot borrowing, the generation-keyed walk cache (fast mode
+only), presence accounting — and delegates PTE storage to one of two
+interchangeable backing stores, chosen at construction by
+:data:`repro.sim.fidelity.FIDELITY`:
 
 * **fast** (:class:`_ColumnarStore`) — structure-of-arrays: one flat
   ``int64`` PFN column plus one ``uint16`` flag-bitmask column, grown as
@@ -15,7 +16,8 @@ backing stores, chosen at construction by :data:`repro.sim.fidelity.FIDELITY`:
 * **detailed** (:class:`_RadixStore`) — hardware-shaped: PML4 → PDPT →
   PD → PT dicts, nine index bits per level, 512-entry numpy ``int64``
   leaf arrays of packed PTEs — exactly the radix walk a real MMU
-  performs, retained as the differential twin.
+  performs, kept plain (one straightforward loop per operation) as the
+  reference the columnar store is checked against.
 
 A packed PTE is ``(pfn << 12) | flags``. The PINNED flag is software-only
 (``get_user_pages`` semantics); everything else matches hardware bits in
@@ -40,7 +42,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.fastpath import FASTPATH
 from repro.sim.fidelity import FIDELITY
 
 PAGE_SHIFT = 12
@@ -211,111 +212,44 @@ class _RadixStore:
         # Validate against the *existing* structure first — creating leaf
         # tables before the collision check would leak empty leaves (and
         # claim the PML4 slot) on the error path.
-        if FASTPATH.range_vectorize:
-            # A PTE is nonzero iff present (mapping always sets PRESENT),
-            # so plain truthiness replaces the `& PTE_PRESENT` mask pass,
-            # and the packed values are computed once for the whole range.
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    continue
-                window = leaf[i1 : i1 + take]
-                if window.any():
-                    first = int(np.flatnonzero(window)[0])
-                    raise ValueError(
-                        f"vaddr {vaddr + (off + first) * PAGE_SIZE:#x} already mapped"
-                    )
-            packed = (pfns << PAGE_SHIFT) | flags
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=True):
-                leaf[i1 : i1 + take] = packed[off : off + take]
-        else:
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    continue
-                window = leaf[i1 : i1 + take]
-                if (window & PTE_PRESENT).any():
-                    first = int(np.flatnonzero(window & PTE_PRESENT)[0])
-                    raise ValueError(
-                        f"vaddr {vaddr + (off + first) * PAGE_SIZE:#x} already mapped"
-                    )
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=True):
-                leaf[i1 : i1 + take] = (pfns[off : off + take] << PAGE_SHIFT) | flags
-
-    def unmap_range(self, vaddr: int, npages: int, out: np.ndarray) -> None:
-        spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
-        if FASTPATH.range_vectorize:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            for leaf, i1, take, off in spans:
-                window = leaf[i1 : i1 + take]
-                out[off : off + take] = window
-                window[:] = 0
-            out >>= PAGE_SHIFT
-        else:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                present = leaf[i1 : i1 + take] & PTE_PRESENT
-                if not present.all():
-                    hole = int(np.flatnonzero(present == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            for leaf, i1, take, off in spans:
-                out[off : off + take] = leaf[i1 : i1 + take] >> PAGE_SHIFT
-                leaf[i1 : i1 + take] = 0
-
-    def walk_into(self, vaddr: int, npages: int, out: np.ndarray) -> None:
-        if FASTPATH.range_vectorize:
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-                out[off : off + take] = window
-            out >>= PAGE_SHIFT
-            return
         for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
             if leaf is None:
-                raise PageFault(vaddr + off * PAGE_SIZE)
+                continue
             window = leaf[i1 : i1 + take]
-            if not (window & PTE_PRESENT).all():
-                hole = int(np.flatnonzero((window & PTE_PRESENT) == 0)[0])
-                raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            out[off : off + take] = window >> PAGE_SHIFT
+            if (window & PTE_PRESENT).any():
+                first = int(np.flatnonzero(window & PTE_PRESENT)[0])
+                raise ValueError(
+                    f"vaddr {vaddr + (off + first) * PAGE_SIZE:#x} already mapped"
+                )
+        for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=True):
+            leaf[i1 : i1 + take] = (pfns[off : off + take] << PAGE_SHIFT) | flags
 
-    def range_flags_all(self, vaddr: int, npages: int, mask: int) -> bool:
-        if FASTPATH.range_vectorize:
-            # One combined per-leaf check: a window passing the
-            # present+mask test needs no hole scan, so the common case
-            # never materializes the full range. A hole still faults
-            # even after a leaf already answered False — leaves scan in
-            # range order, so the fault address matches the slow twin.
-            want = np.int64(mask | PTE_PRESENT)
-            ok = True
-            for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if ((window & want) == want).all():
-                    continue
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-                ok = False
-            return ok
-        spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
-        for leaf, i1, take, off in spans:  # validate first: fault before answering
+    def _validate_present(self, vaddr: int, spans) -> None:
+        """Fault at the first non-present page of ``spans`` (range order)."""
+        for leaf, i1, take, off in spans:
             if leaf is None:
                 raise PageFault(vaddr + off * PAGE_SIZE)
             present = leaf[i1 : i1 + take] & PTE_PRESENT
             if not present.all():
                 hole = int(np.flatnonzero(present == 0)[0])
                 raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
+
+    def unmap_range(self, vaddr: int, npages: int, out: np.ndarray) -> None:
+        spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
+        self._validate_present(vaddr, spans)  # all-or-nothing
+        for leaf, i1, take, off in spans:
+            out[off : off + take] = leaf[i1 : i1 + take] >> PAGE_SHIFT
+            leaf[i1 : i1 + take] = 0
+
+    def walk_into(self, vaddr: int, npages: int, out: np.ndarray) -> None:
+        spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
+        self._validate_present(vaddr, spans)
+        for leaf, i1, take, off in spans:
+            out[off : off + take] = leaf[i1 : i1 + take] >> PAGE_SHIFT
+
+    def range_flags_all(self, vaddr: int, npages: int, mask: int) -> bool:
+        spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
+        self._validate_present(vaddr, spans)  # fault before answering
         for leaf, i1, take, off in spans:
             window = leaf[i1 : i1 + take]
             if ((window & mask) == mask).sum() != take:
@@ -324,29 +258,9 @@ class _RadixStore:
 
     def set_flags_range(self, vaddr: int, npages: int, set_mask: int, clear_mask: int) -> None:
         spans = list(self._iter_leaf_spans(vaddr, npages, create=False))
-        if FASTPATH.range_vectorize:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                window = leaf[i1 : i1 + take]
-                if not window.all():
-                    hole = int(np.flatnonzero(window == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            clear = np.int64(~clear_mask)
-            for leaf, i1, take, off in spans:
-                window = leaf[i1 : i1 + take]
-                window |= set_mask
-                window &= clear
-        else:
-            for leaf, i1, take, off in spans:  # validate first: all-or-nothing
-                if leaf is None:
-                    raise PageFault(vaddr + off * PAGE_SIZE)
-                present = leaf[i1 : i1 + take] & PTE_PRESENT
-                if not present.all():
-                    hole = int(np.flatnonzero(present == 0)[0])
-                    raise PageFault(vaddr + (off + hole) * PAGE_SIZE)
-            for leaf, i1, take, off in spans:
-                leaf[i1 : i1 + take] = (leaf[i1 : i1 + take] | set_mask) & ~clear_mask
+        self._validate_present(vaddr, spans)  # all-or-nothing
+        for leaf, i1, take, off in spans:
+            leaf[i1 : i1 + take] = (leaf[i1 : i1 + take] | set_mask) & ~clear_mask
 
     def present_mask_into(self, vaddr: int, npages: int, out: np.ndarray) -> None:
         for leaf, i1, take, off in self._iter_leaf_spans(vaddr, npages, create=False):
@@ -746,26 +660,31 @@ class PageTable:
     A walk's PFN list is one read-only array, shared without copies by
     the cache, the caller and anything the caller passes it to.
 
-    PTE storage is delegated to a fidelity twin chosen at construction
-    (see the module docstring); semantics, counters, and fault addresses
-    are identical either way.
+    PTE storage and the walk cache are fidelity twins bound at
+    construction (see the module docstring): fast mode keeps the
+    columnar store and the cache, detailed mode the radix store and an
+    uncached walk. Semantics, counters outside ``fastpath.*``, and fault
+    addresses are identical either way.
     """
 
     def __init__(self) -> None:
-        if FIDELITY.columnar:
+        #: (vaddr, npages) -> (generation, pfns), or ``None`` in detailed
+        #: mode (every walk re-walks). Entries are the read-only arrays
+        #: :meth:`translate_range` returned; hits return them as is, so no
+        #: caller can corrupt an entry by writing to it.
+        self._walk_cache: Optional[Dict[Tuple[int, int], Tuple[int, np.ndarray]]]
+        if FIDELITY.fast:
             self._store = _ColumnarStore()
+            self._walk_cache = {}
         else:
             self._store = _RadixStore()
+            self._walk_cache = None
         #: PML4 slots borrowed from other processes (SMARTMAP); value is the
         #: donor PageTable. Borrowed slots are read-through, never modified.
         self.shared_slots: Dict[int, "PageTable"] = {}
         self._present = 0
         #: Bumped on every PFN-changing mutation; invalidates the walk cache.
         self.generation = 0
-        #: (vaddr, npages) -> (generation, pfns). Entries are the read-only
-        #: arrays :meth:`translate_range` returned; hits return them as is,
-        #: so no caller can corrupt an entry by writing to it.
-        self._walk_cache: Dict[Tuple[int, int], Tuple[int, np.ndarray]] = {}
 
     # -- SMARTMAP routing helpers ---------------------------------------------
 
@@ -917,9 +836,9 @@ class PageTable:
         The result is a read-only int64 array on every path, so one walk
         can be shared, uncopied, by the walk cache, the PFN message and
         the attacher's data view; a write to it raises ``ValueError``.
-        Repeated walks of an unchanged range are served from the walk
-        cache (keyed on :attr:`generation`), which returns the cached
-        array itself; ranges that cross a borrowed SMARTMAP slot always
+        In fast mode, repeated walks of an unchanged range are served from
+        the walk cache (keyed on :attr:`generation`), which returns the
+        cached array itself; ranges that cross a borrowed SMARTMAP slot always
         re-walk, since donor mutations do not bump this table's
         generation. The timing-model counter is charged either way — the
         cache only removes host-side leaf iteration.
@@ -931,7 +850,7 @@ class PageTable:
             out = np.empty(0, dtype=np.int64)
             out.setflags(write=False)
             return out
-        if FASTPATH.walk_cache and not self._range_touches_shared(vaddr, npages):
+        if self._walk_cache is not None and not self._range_touches_shared(vaddr, npages):
             key = (vaddr, npages)
             hit = self._walk_cache.get(key)
             if hit is not None and hit[0] == self.generation:
@@ -1096,11 +1015,11 @@ class PageTable:
 
         Audit tap — never mutates the cache or the counters, so reading
         it cannot perturb a run. The PFN arrays are the cache's own
-        read-only entries.
+        read-only entries; detailed mode has no cache and returns ``[]``.
         """
         return [
             (vaddr, npages, gen, pfns)
-            for (vaddr, npages), (gen, pfns) in self._walk_cache.items()
+            for (vaddr, npages), (gen, pfns) in (self._walk_cache or {}).items()
         ]
 
     def present_pfns(self) -> np.ndarray:

@@ -87,7 +87,7 @@ class ProjectIndex:
         Handles plain functions, class constructors (``C()`` →
         ``C.__init__``), ``self::``/``cls``-receiver markers from the
         indexer, and method calls on module singletons
-        (``FASTPATH.enabled()`` → ``FastPath.enabled``). ``None`` means
+        (``FIDELITY.set_mode()`` → ``Fidelity.set_mode``). ``None`` means
         the edge leaves the project (stdlib, third-party, dynamic).
         """
         if callee in self._resolved:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.lint.rules.defaults import MutableDefaultRule
 from repro.lint.rules.engine import EngineDisciplineRule
-from repro.lint.rules.fastpath import FastpathGateRule
+from repro.lint.rules.fidelity import FidelityGateRule
 from repro.lint.rules.floateq import FloatEqualityRule
 from repro.lint.rules.handlers import HandlerHygieneRule
 from repro.lint.rules.iteration import IterationOrderRule
@@ -41,7 +41,7 @@ ALL_RULES = (
     RandomnessRule,      # REP002
     IterationOrderRule,  # REP003
     FloatEqualityRule,   # REP004
-    FastpathGateRule,    # REP005
+    FidelityGateRule,    # REP005
     EngineDisciplineRule,  # REP006
     HandlerHygieneRule,  # REP007
     MutableDefaultRule,  # REP008

@@ -111,10 +111,10 @@ ENV_READ_CALLS = frozenset({"os.getenv"})
 ENV_MAPPING = frozenset({"os.environ", "os.environb"})
 ENV_MAPPING_READERS = frozenset({"get", "items", "keys", "values", "copy"})
 
-#: The construction-time switchboards are the sanctioned place for env
+#: The construction-time switchboard is the sanctioned place for env
 #: configuration (docs/COSTMODEL.md); everything else derives behaviour
 #: from explicit arguments so runs are replayable from their config.
-ENV_BOUNDARY = ("repro/sim/fastpath.py", "repro/sim/fidelity.py")
+ENV_BOUNDARY = ("repro/sim/fidelity.py",)
 
 # ---------------------------------------------------------------------------
 # Address/hash-seed dependence (REP104, direct + transitive)
@@ -132,11 +132,11 @@ ADDRESS_BOUNDARY = ()
 # Shared-state audit (REP110-REP113)
 # ---------------------------------------------------------------------------
 
-#: Modules allowed to own and mutate process-wide state: the two
-#: construction-time switchboards. Everything else must key state
+#: Modules allowed to own and mutate process-wide state: the
+#: construction-time fidelity switchboard. Everything else must key state
 #: per-``Engine`` so node engines can run in parallel host processes
 #: (ROADMAP item 1) without cross-engine aliasing.
-STATE_BOUNDARY = ("repro/sim/fastpath.py", "repro/sim/fidelity.py")
+STATE_BOUNDARY = ("repro/sim/fidelity.py",)
 
 # ---------------------------------------------------------------------------
 # Category registry for the taint pass

@@ -28,12 +28,12 @@ file                      contents
 ========================  ====================================================
 
 Twin safety: the metric families that legitimately differ between the
-fast/slow and fast/detailed simulation paths (``engine.*``,
-``fastpath.*``) are excluded from ``metrics.json``, and the two mode
-switches (``REPRO_FASTPATH``, ``REPRO_FIDELITY``) are excluded from the
-environment fingerprint — the same (seed, plan) therefore produces a
-byte-identical bundle in **every** mode, which is exactly what makes a
-bundle comparable across the differential contract.
+fast and detailed simulation paths (``engine.*``, ``fastpath.*``) are
+excluded from ``metrics.json``, and the mode switch
+(``REPRO_FIDELITY``) is excluded from the environment fingerprint — the
+same (seed, plan) therefore produces a byte-identical bundle in
+**either** mode, which is exactly what makes a bundle comparable across
+the differential contract.
 
 ``python -m repro diagnose <bundle>`` renders a bundle as a causal
 timeline around the failure point (:func:`render_diagnosis`).
@@ -51,13 +51,13 @@ from typing import Any, Dict, List, Optional
 SCHEMA_VERSION = 1
 
 #: Metric families excluded from bundles: the two that legitimately
-#: differ between the fast and slow simulation paths (the same exclusion
-#: serve-report's exporters apply).
+#: differ between the fast and detailed simulation paths (the same
+#: exclusion serve-report's exporters apply).
 TWIN_EXCLUDE = ("engine.", "fastpath.")
 
-#: Mode switches excluded from the environment fingerprint so a bundle
-#: stays byte-identical across the fast/slow/detailed twins.
-TWIN_ENV = ("REPRO_FASTPATH", "REPRO_FIDELITY")
+#: The mode switch, excluded from the environment fingerprint so a
+#: bundle stays byte-identical across the fast/detailed twins.
+TWIN_ENV = ("REPRO_FIDELITY",)
 
 #: Bundle file names, in manifest order.
 BUNDLE_FILES = (

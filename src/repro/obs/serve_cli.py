@@ -16,10 +16,11 @@ every exporter:
   when an objective was violated (the earliest breach is the trigger).
 
 Everything runs on the virtual clock: two invocations with the same
-arguments produce byte-identical files, and toggling the simulation
-fast paths (``REPRO_FASTPATH=0``) changes nothing — the export excludes
-the two metric families (``engine.*``, ``fastpath.*``) that legitimately
-differ between paths; the differential contract covers the rest.
+arguments produce byte-identical files, and switching the simulation
+to its detailed twins (``REPRO_FIDELITY=detailed``) changes nothing —
+the export excludes the two metric families (``engine.*``,
+``fastpath.*``) that legitimately differ between fidelity modes; the
+differential contract covers the rest.
 """
 
 from __future__ import annotations

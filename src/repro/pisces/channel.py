@@ -25,7 +25,7 @@ from __future__ import annotations
 from repro import obs
 from repro.enclave.enclave import Channel, Enclave, KernelMessage
 from repro.hw.interrupts import IpiVector
-from repro.sim.fastpath import FASTPATH
+from repro.sim.fidelity import FIDELITY
 
 
 class PiscesChannel(Channel):
@@ -39,6 +39,9 @@ class PiscesChannel(Channel):
         self.linux_enclave = linux_enclave
         self.cokernel_enclave = cokernel_enclave
         self.ipi_target_policy = ipi_target_policy
+        #: Fidelity twin, bound once: fast mode may collapse uncontended
+        #: chunk rounds into one IPI burst, detailed mode sends each round.
+        self._burst_ipis = FIDELITY.fast
         node = linux_enclave.kernel.node
         self.node = node
         self.costs = node.costs
@@ -97,8 +100,8 @@ class PiscesChannel(Channel):
             else 0
         )
         chunks = costs.pfn_list_chunks(npfns) if npfns else 1
-        # Marshalling time is closed-form (identical under fast and slow
-        # IPI paths); exporting it as a span attribute lets the analysis
+        # Marshalling time is closed-form (identical under both fidelity
+        # modes); exporting it as a span attribute lets the analysis
         # layer split the transfer span into channel-copy vs. IPI time.
         marshal_ns = npfns * (costs.channel_per_pfn_ns + penalty)
         self.transfers_started += 1
@@ -117,7 +120,7 @@ class PiscesChannel(Channel):
             core = self.node.core(vec.core_id)
             faults = engine.faults
             if (
-                FASTPATH.ipi_batching
+                self._burst_ipis
                 and chunks > 1
                 and core.resource.in_use == 0
                 and core.resource.queue_depth == 0

@@ -12,14 +12,14 @@ Virtual time is an integer count of **nanoseconds**; nothing in the engine
 ever consults the wall clock, so runs are bit-for-bit reproducible.
 """
 
-from repro.sim import fastpath
+from repro.sim import fidelity
 from repro.sim.engine import Engine, Event, Timeout, SimError
 from repro.sim.process import Process, Interrupt
 from repro.sim.resources import Resource, Mutex, ResourceStats
 from repro.sim.record import SeriesStats
 
 __all__ = [
-    "fastpath",
+    "fidelity",
     "Engine",
     "Event",
     "Timeout",

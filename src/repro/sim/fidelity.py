@@ -1,31 +1,30 @@
-"""Fidelity switchboard: columnar-fast vs radix-detailed storage twins.
+"""Fidelity switchboard: the simulator's one fast-vs-detailed switch.
 
-Virtuoso-style simulators split every subsystem into a *fast functional*
-model and a *detailed* one and let runs pick per-component fidelity.
-This module is that switch for the repro core. It complements
-:mod:`repro.sim.fastpath`, which toggles *algorithmic* twins (caching,
-batching, vectorization) read at call time; fidelity instead selects a
-*storage layout* twin, bound once at object construction:
+Virtuoso-style simulators keep one *fast functional* model and one
+*detailed* model and let a run pick between them; the detailed model is
+a reference to validate against, not a second thing to tune. This
+module is that switch for the repro core:
 
-* ``fast`` — structure-of-arrays backing stores: the page table keeps
-  one flat PFN column plus one flag-bitmask column (``uint16``) in an
-  arena of 512-entry leaf rows, so range operations are single numpy
-  slices and flag-only sweeps touch a quarter of the bytes.
-* ``detailed`` — hardware-shaped radix trees: PML4 → PDPT → PD → PT
-  dicts with per-leaf 512-entry packed-PTE arrays, exactly the walk a
-  real MMU performs.
+* ``fast`` (the default) — the columnar page-table store plus the fast
+  paths that pay end to end: the generation-keyed PFN walk cache, the
+  closed-form IPI burst for uncontended chunk rounds, and batched
+  faulting of partially populated LAZY ranges.
+* ``detailed`` — the hardware-shaped radix store (PML4 → PDPT → PD → PT
+  dicts of 512-entry packed-PTE arrays, exactly the walk a real MMU
+  performs) with every twin on its plain reference side: an uncached
+  walk on every ``translate_range``, one IPI round per chunk, and one
+  ``translate`` + ``handle_fault`` round trip per page.
 
-The two modes are **semantics-preserving** twins under the same
-contract REP005 enforces for fast paths (docs/COSTMODEL.md): identical
-virtual end times, identical counters, byte-identical trace exports.
-``tests/sim/test_fidelity_diff.py`` proves it differentially, and
-``repro lint`` REP005 applies the same gate hygiene to ``FIDELITY``
-reads as to ``FASTPATH`` reads.
+The two modes are **semantics-preserving** twins (docs/COSTMODEL.md
+§ Fidelity modes): identical virtual end times, identical counters
+outside the ``fastpath.*`` namespace the fast side may add, and
+byte-identical trace exports. ``tests/sim/test_fidelity_diff.py``
+proves it differentially, and ``repro lint`` REP005 checks that every
+``FIDELITY`` gate has a twin and none nests inside another.
 
-Unlike ``FASTPATH``, flipping ``FIDELITY`` mid-process does *not*
-retroactively convert live objects — the mode is read in constructors.
-Scope a whole scenario inside :func:`configured` /:func:`detailed` to
-compare modes.
+One rule: the mode is read **once, when an object is built**. Flipping
+``FIDELITY`` mid-process does not convert live objects, so scope a whole
+scenario inside :func:`configured` / :func:`detailed` to compare modes.
 
 ``REPRO_FIDELITY=fast|detailed`` selects the starting mode (default
 ``fast``); anything else fails loudly at import.
@@ -48,13 +47,15 @@ class Fidelity:
     mode: str = "fast"
 
     @property
-    def columnar(self) -> bool:
-        """True when constructors should bind structure-of-arrays stores."""
+    def fast(self) -> bool:
+        """True when constructors should bind the columnar store and the
+        fast paths."""
         return self.mode == "fast"
 
     @property
     def detailed(self) -> bool:
-        """True when constructors should bind hardware-shaped stores."""
+        """True when constructors should bind the radix store and the
+        plain reference paths."""
         return self.mode == "detailed"
 
     def set_mode(self, mode: str) -> None:
@@ -88,7 +89,7 @@ def configured(mode: str) -> Iterator[Fidelity]:
 
 @contextlib.contextmanager
 def detailed() -> Iterator[Fidelity]:
-    """Scoped detailed mode (hardware-shaped radix stores)."""
+    """Scoped detailed mode (radix store, plain reference paths)."""
     with configured("detailed") as f:
         yield f
 

@@ -23,12 +23,12 @@ from repro.obs.flightrec import TWIN_ENV
 
 #: (seed, overload spec) -> sha256 of the bundle's MANIFEST.json.
 MANIFEST_SHA256 = {
-    (0, None): "cb0d1818a49eecb69fa3bfa2b209221db6bbd8ef6c7542075a0aa00b0b8f5fe9",
-    (0, "workers=1"): "3a076817ef4a396c2e8ec3547e5f3512fd0e36997694e7f4f209022879c0126d",
-    (1, None): "4bd1829ea58edc9d6e1445f494bf516ad61bc33c4b87812c9e55bd16bddc599b",
-    (1, "workers=1"): "cb458efea470c85c50bdee2771492ba1748460b1e4f6b4b66782b320be1db13e",
-    (2, None): "50cbef863f9c8cd04fcdded1fa667c92f6efbe6e85189bc7875fc03a61839652",
-    (2, "workers=1"): "ab6b6dcfd3397c2cdaa3301e2735bbd2a25a5cba6df522c062f975c1f73ce5e5",
+    (0, None): "dee71d25aacec611873932bdd98910a868c52fb676b599f754a6473db1e032ab",
+    (0, "workers=1"): "2a41caff1510e9703847e5657d2cb70508cfec9a07c0af3a6a825309f7849385",
+    (1, None): "3c6ecfe04628ee0eac7eb648b1201fc37cdaabb8d6cdb739327fb168544b74ad",
+    (1, "workers=1"): "ee19cbaee55db21a9461a7661caca5321881cf9fed7c09b857d9bcc5f6372b55",
+    (2, None): "739a0468a838b991547b7bf3910f6f1cf89f48cf2090fdd1644561d24f7c2929",
+    (2, "workers=1"): "6df23c53e84716f47ebd457c99b93bf9e294077893b222467428741a84211ed6",
 }
 
 

@@ -1,5 +1,6 @@
 """Edge cases for the page table's fast paths: zero-page range ops, the
-generation-keyed walk cache, and the sparse/vectorized helpers."""
+generation-keyed walk cache (fast fidelity only), and the
+sparse/vectorized helpers."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.kernels.pagetable import (
     PTE_USER,
     PTE_WRITABLE,
 )
-from repro.sim import fastpath
+from repro.sim import fidelity
 
 RW = PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
@@ -32,7 +33,7 @@ def _mapped(npages=8, base=0x40_0000):
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_zero_page_range_ops_are_noops(fast):
-    ctx = fastpath.enabled() if fast else fastpath.disabled()
+    ctx = fidelity.fast() if fast else fidelity.detailed()
     with ctx:
         pt, base = _mapped()
         gen = pt.generation
@@ -52,7 +53,7 @@ def test_zero_page_range_ops_are_noops(fast):
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_negative_page_count_rejected(fast):
-    ctx = fastpath.enabled() if fast else fastpath.disabled()
+    ctx = fidelity.fast() if fast else fidelity.detailed()
     with ctx:
         pt, base = _mapped()
         with pytest.raises(ValueError):
@@ -65,7 +66,7 @@ def test_negative_page_count_rejected(fast):
 
 
 def test_walk_cache_hits_on_repeat_walks():
-    with fastpath.enabled(), obs.observing(metrics=True) as ctx:
+    with fidelity.fast(), obs.observing(metrics=True) as ctx:
         pt, base = _mapped(16)
         first = pt.translate_range(base, 16)
         second = pt.translate_range(base, 16)
@@ -74,7 +75,7 @@ def test_walk_cache_hits_on_repeat_walks():
 
 
 def test_walk_cache_invalidated_by_pfn_mutations():
-    with fastpath.enabled(), obs.observing(metrics=True) as ctx:
+    with fidelity.fast(), obs.observing(metrics=True) as ctx:
         pt, base = _mapped(16)
         pt.translate_range(base, 16)          # prime
         pt.map_page(base + 16 * PAGE_SIZE, 999, RW)
@@ -88,7 +89,7 @@ def test_walk_cache_invalidated_by_pfn_mutations():
 
 def test_walk_cache_survives_flag_only_mutations():
     """Pinning (set_flags*) must not evict — the recurring-attach case."""
-    with fastpath.enabled(), obs.observing(metrics=True) as ctx:
+    with fidelity.fast(), obs.observing(metrics=True) as ctx:
         pt, base = _mapped(16)
         pt.translate_range(base, 16)
         pt.set_flags_range(base, 16, set_mask=PTE_PINNED)
@@ -106,7 +107,7 @@ def _assert_frozen(pfns):
 def test_translate_range_returns_read_only():
     """Every walk hands out one shared, read-only array: a stray write
     raises instead of corrupting the walk cache."""
-    with fastpath.enabled():
+    with fidelity.fast():
         pt, base = _mapped(4)
         first = pt.translate_range(base, 4)  # miss: stored and returned
         _assert_frozen(first)
@@ -115,12 +116,12 @@ def test_translate_range_returns_read_only():
         assert second is first
         np.testing.assert_array_equal(pt.translate_range(base, 4), np.arange(100, 104))
         _assert_frozen(pt.translate_range(base, 0))
-    with fastpath.configured(walk_cache=False):
+    with fidelity.detailed():
         pt, base = _mapped(4)
         _assert_frozen(pt.translate_range(base, 4))
         np.testing.assert_array_equal(pt.translate_range(base, 4), np.arange(100, 104))
         _assert_frozen(pt.translate_range(base, 0))
-    with fastpath.enabled():
+    with fidelity.fast():
         donor, _ = _mapped(4)
         borrower = PageTable()
         borrower.share_pml4_slot(1, donor)
@@ -130,7 +131,7 @@ def test_translate_range_returns_read_only():
 
 
 def test_walk_cache_eviction_is_bounded():
-    with fastpath.enabled():
+    with fidelity.fast():
         pt = PageTable()
         n = WALK_CACHE_SLOTS + 4
         pt.map_range(0x40_0000, np.arange(1, 1 + n, dtype=np.int64), RW)
@@ -142,7 +143,7 @@ def test_walk_cache_eviction_is_bounded():
 def test_walk_cache_bypasses_smartmap_slots():
     """Ranges through a borrowed PML4 slot can change under the donor's
     generation, so they must never be cached."""
-    with fastpath.enabled(), obs.observing(metrics=True) as ctx:
+    with fidelity.fast(), obs.observing(metrics=True) as ctx:
         donor = PageTable()
         donor.map_range(0x40_0000, np.arange(500, 508, dtype=np.int64), RW)
         borrower = PageTable()
@@ -163,7 +164,7 @@ def test_walk_cache_bypasses_smartmap_slots():
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_present_mask_never_faults(fast):
-    ctx = fastpath.enabled() if fast else fastpath.disabled()
+    ctx = fidelity.fast() if fast else fidelity.detailed()
     with ctx:
         pt, base = _mapped(4)
         mask = pt.present_mask(base - 2 * PAGE_SIZE, 8)

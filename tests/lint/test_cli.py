@@ -15,7 +15,7 @@ import os
 import random
 import time
 
-from repro.sim.fastpath import FASTPATH
+from repro.sim.fidelity import FIDELITY
 
 REGISTRY = {}
 
@@ -57,7 +57,7 @@ def compare(x):
 
 
 def gate():
-    if FASTPATH.walk_cache:
+    if FIDELITY.fast:
         x = 1
     return 0
 

@@ -156,41 +156,41 @@ def test_rep004_integer_comparison_ok():
     check("def f(x):\n    return x == 1\n", [])
 
 
-# -- REP005 fastpath gates ---------------------------------------------------
+# -- REP005 fidelity gates ---------------------------------------------------
 
-_FP = "from repro.sim.fastpath import FASTPATH\n"
+_FID = "from repro.sim.fidelity import FIDELITY\n"
 
 
 def test_rep005_gate_without_twin():
-    check(_FP + "def f():\n"
-          "    if FASTPATH.walk_cache:\n        x = 1\n    return 2\n",
+    check(_FID + "def f():\n"
+          "    if FIDELITY.fast:\n        x = 1\n    return 2\n",
           ["REP005"])
 
 
 def test_rep005_nested_gates():
-    check(_FP + "def f():\n"
-          "    if FASTPATH.walk_cache:\n"
-          "        if FASTPATH.range_vectorize:\n            return 1\n"
+    check(_FID + "def f():\n"
+          "    if FIDELITY.fast:\n"
+          "        if FIDELITY.fast:\n            return 1\n"
           "        return 2\n"
           "    return 3\n",
           ["REP005"])
 
 
 def test_rep005_else_twin_ok():
-    check(_FP + "def f():\n"
-          "    if FASTPATH.ipi_batching:\n        a = 1\n"
+    check(_FID + "def f():\n"
+          "    if FIDELITY.fast:\n        a = 1\n"
           "    else:\n        a = 2\n    return a\n", [])
 
 
 def test_rep005_early_return_twin_ok():
-    check(_FP + "def f():\n"
-          "    if FASTPATH.ipi_batching:\n        return 1\n"
+    check(_FID + "def f():\n"
+          "    if FIDELITY.fast:\n        return 1\n"
           "    return 2\n", [])
 
 
 def test_rep005_negated_gate_early_return_ok():
-    check(_FP + "def f(n):\n"
-          "    if not FASTPATH.fault_vectorize or n <= 0:\n"
+    check(_FID + "def f(n):\n"
+          "    if not FIDELITY.fast or n <= 0:\n"
           "        return False\n"
           "    return True\n", [])
 
@@ -199,25 +199,22 @@ def test_rep005_unrelated_if_ok():
     check("def f(x):\n    if x:\n        y = 1\n    return 0\n", [])
 
 
-_FID = "from repro.sim.fidelity import FIDELITY\n"
-
-
 def test_rep005_fidelity_gate_without_twin():
     check(_FID + "def f():\n"
-          "    if FIDELITY.columnar:\n        x = 1\n    return 2\n",
+          "    if FIDELITY.detailed:\n        x = 1\n    return 2\n",
           ["REP005"])
 
 
 def test_rep005_fidelity_else_twin_ok():
     check(_FID + "def f():\n"
-          "    if FIDELITY.columnar:\n        a = 1\n"
+          "    if FIDELITY.detailed:\n        a = 1\n"
           "    else:\n        a = 2\n    return a\n", [])
 
 
 def test_rep005_cross_switchboard_nesting():
-    check(_FP + _FID + "def f():\n"
-          "    if FASTPATH.walk_cache:\n"
-          "        if FIDELITY.columnar:\n            return 1\n"
+    check(_FID + "def f():\n"
+          "    if FIDELITY.fast:\n"
+          "        if FIDELITY.detailed:\n            return 1\n"
           "        return 2\n"
           "    return 3\n",
           ["REP005"])
@@ -383,8 +380,8 @@ def test_rep103_transitive_caller_also_flagged():
 def test_rep103_switchboard_module_is_sanctioned():
     check("import os\n"
           "def load():\n"
-          "    return os.getenv('REPRO_FASTPATH')\n",
-          [], path="src/repro/sim/fastpath.py")
+          "    return os.getenv('REPRO_FIDELITY')\n",
+          [], path="src/repro/sim/fidelity.py")
 
 
 def test_rep103_whole_environ_copy_for_subprocess_ok():

@@ -12,7 +12,7 @@ from repro.obs.audit import (
     env_enabled,
     env_interval_ns,
 )
-from repro.sim import Engine
+from repro.sim import Engine, fidelity
 from repro.xemem import XpmemApi
 
 
@@ -126,8 +126,9 @@ def test_region_populated_drift_detected():
 
 
 def test_stale_walk_cache_pfns_detected():
-    rig = build_cokernel_system(with_audit=True)
-    kp, _ = _attach_scenario(rig)
+    with fidelity.fast():  # the walk cache is a fast-mode twin
+        rig = build_cokernel_system(with_audit=True)
+        kp, _ = _attach_scenario(rig)
     table = kp.aspace.table
     heap = rig.cokernels[0].kernel.heap_region(kp)
     table.translate_range(heap.start, 4)  # populate the walk cache
@@ -141,8 +142,9 @@ def test_stale_walk_cache_pfns_detected():
 
 
 def test_future_generation_cache_entry_detected():
-    rig = build_cokernel_system(with_audit=True)
-    kp, _ = _attach_scenario(rig)
+    with fidelity.fast():
+        rig = build_cokernel_system(with_audit=True)
+        kp, _ = _attach_scenario(rig)
     table = kp.aspace.table
     heap = rig.cokernels[0].kernel.heap_region(kp)
     table.translate_range(heap.start, 4)

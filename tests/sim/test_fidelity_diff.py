@@ -1,18 +1,24 @@
-"""Differential tests: storage fidelity must be invisible except in wall-clock.
+"""Differential tests: fidelity must be invisible except in wall-clock.
 
-The columnar (fast) and radix (detailed) page-table stores are twins
-under the REP005 contract (docs/COSTMODEL.md § Fidelity split): the
-scenarios from the fastpath differential suite run on each store, under
-*both* ``REPRO_FASTPATH`` settings, and must agree on the virtual end
-time, on every metrics counter, and on the byte-exact JSONL trace
-export. A store-level op-mix additionally pins down the per-operation
-observables — translations, masks, collision messages, and exact-hole
-fault addresses.
+Each scenario runs twice under full observability — in ``detailed``
+mode (the radix store with every twin on its plain reference side: an
+uncached walk, per-round IPIs, per-page faults) and in ``fast`` mode
+(the columnar store plus the walk cache, IPI bursts and batched
+faults). The two runs must agree on the virtual end time, on every
+metrics counter outside the ``fastpath.*`` namespace the fast side may
+add, and on the byte-exact JSONL trace export (docs/COSTMODEL.md
+§ Fidelity modes). A store-level op-mix additionally pins down the
+per-operation observables — translations, masks, collision messages,
+and exact-hole fault addresses.
 """
+
+import io
 
 import numpy as np
 import pytest
 
+from repro import obs
+from repro.hw.costs import PAGE_4K
 from repro.kernels.pagetable import (
     PAGE_SIZE,
     PML4_SLOT_SPAN,
@@ -26,41 +32,147 @@ from repro.kernels.pagetable import (
     _ColumnarStore,
     _RadixStore,
 )
-from repro.sim import fastpath, fidelity
+from repro.sim import fidelity
+from repro.xemem import XpmemApi
 
-from tests.sim.test_fastpath_diff import (
-    _contended_scenario,
-    _cross_enclave_scenario,
-    _linux_local_scenario,
-    _observed,
-)
+from tests.xemem.conftest import build_system
 
 RW = PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
 
-def _assert_fidelity_identical(scenario):
-    """detailed vs fast stores, under both fastpath settings."""
-    for fp_ctx in (fastpath.disabled, fastpath.enabled):
-        with fp_ctx():
-            with fidelity.detailed():
-                ref = _observed(scenario)
-            with fidelity.fast():
-                fast = _observed(scenario)
-        assert fast[0] == ref[0], "virtual end time diverged"
-        assert fast[1] == ref[1], "metrics counters diverged"
-        assert fast[2] == ref[2], "trace export bytes diverged"
+def _observed(scenario):
+    """Run ``scenario`` under tracing+metrics; return (end_ns, counters, trace)."""
+    with obs.observing(trace=True, metrics=True) as ctx:
+        end_ns = scenario()
+    counters = {
+        k: v for k, v in ctx.metrics.snapshot().items()
+        if not k.startswith("fastpath.")
+    }
+    buf = io.StringIO()
+    ctx.tracer.to_jsonl(buf)
+    return end_ns, counters, buf.getvalue()
+
+
+def _assert_identical(scenario):
+    with fidelity.detailed():
+        ref = _observed(scenario)
+    with fidelity.fast():
+        fast = _observed(scenario)
+    assert fast[0] == ref[0], "virtual end time diverged"
+    assert fast[1] == ref[1], "metrics counters diverged"
+    assert fast[2] == ref[2], "trace export bytes diverged"
+
+
+def _cross_enclave_scenario():
+    """Single co-kernel: burst-eligible IPI chunking, walk cache on the
+    recurring attach, vectorized EAGER map install."""
+    rig = build_system(num_cokernels=1)
+    eng = rig["engine"]
+    kitten = rig["cokernels"][0]
+    npages = 20_000  # ~80 MB -> several IPI chunk rounds per attach
+    kitten.kernel.heap_pages = npages  # heap is sized at process creation
+    kp = kitten.kernel.create_process("exp")
+    lp = rig["linux"].kernel.create_process("att", core_id=2)
+    heap = kitten.kernel.heap_region(kp)
+
+    def run():
+        api_k, api_l = XpmemApi(kp), XpmemApi(lp)
+        segid = yield from api_k.xpmem_make(heap.start, npages * PAGE_4K)
+        apid = yield from api_l.xpmem_get(segid)
+        for _ in range(2):  # second round re-walks the unchanged range
+            att = yield from api_l.xpmem_attach(apid)
+            yield from rig["linux"].kernel.touch_pages(lp, att.vaddr, npages)
+            yield from api_l.xpmem_detach(att)
+        yield from api_l.xpmem_release(apid)
+
+    eng.run_process(run())
+    return eng.now
+
+
+def _linux_local_scenario():
+    """Single-OS Linux path: partially-populated lazy faulting in
+    pin_pages (export side) and touch_pages (attach side)."""
+    rig = build_system(num_cokernels=1)
+    eng = rig["engine"]
+    linux = rig["linux"].kernel
+    exp = linux.create_process("exp", core_id=1)
+    att = linux.create_process("att", core_id=2)
+    npages = 300
+
+    def run():
+        region = yield from linux.mmap_anonymous(exp, npages * PAGE_4K, "src")
+        # touch only half: the export's get_user_pages must fault the rest
+        yield from linux.touch_pages(exp, region.start, npages // 2)
+        api_e, api_a = XpmemApi(exp), XpmemApi(att)
+        segid = yield from api_e.xpmem_make(region.start, npages * PAGE_4K)
+        apid = yield from api_a.xpmem_get(segid)
+        attached = yield from api_a.xpmem_attach(apid)
+        # partial touch, then full touch over the half-populated window
+        yield from linux.touch_pages(att, attached.vaddr, npages // 3)
+        yield from linux.touch_pages(att, attached.vaddr, npages, write=True)
+        yield from api_a.xpmem_detach(attached)
+        yield from api_a.xpmem_release(apid)
+
+    eng.run_process(run())
+    return eng.now
+
+
+def _contended_scenario():
+    """Two co-kernels: core 0 has two bound vectors, so IPI bursts must
+    fall back to per-round queueing (the §5.3 contention model)."""
+    rig = build_system(num_cokernels=2)
+    eng = rig["engine"]
+    linux = rig["linux"].kernel
+    npages = 12_000
+    procs = []
+    for i, kitten in enumerate(rig["cokernels"]):
+        kitten.kernel.heap_pages = npages
+        kp = kitten.kernel.create_process("exp")
+        lp = linux.create_process(f"att{i}", core_id=2 + i)
+        heap = kitten.kernel.heap_region(kp)
+        procs.append((kp, lp, heap))
+
+    def attacher(kp, lp, heap):
+        api_k, api_l = XpmemApi(kp), XpmemApi(lp)
+        segid = yield from api_k.xpmem_make(heap.start, npages * PAGE_4K)
+        apid = yield from api_l.xpmem_get(segid)
+        att = yield from api_l.xpmem_attach(apid)
+        yield from api_l.xpmem_detach(att)
+        yield from api_l.xpmem_release(apid)
+
+    for kp, lp, heap in procs:
+        eng.spawn(attacher(kp, lp, heap))
+    eng.run()
+    return eng.now
 
 
 def test_cross_enclave_identical():
-    _assert_fidelity_identical(_cross_enclave_scenario)
+    _assert_identical(_cross_enclave_scenario)
 
 
 def test_linux_local_identical():
-    _assert_fidelity_identical(_linux_local_scenario)
+    _assert_identical(_linux_local_scenario)
 
 
 def test_contended_identical():
-    _assert_fidelity_identical(_contended_scenario)
+    _assert_identical(_contended_scenario)
+
+
+def test_fast_run_uses_walk_cache_and_burst():
+    """The fast run must actually take the fast paths it claims to."""
+    with fidelity.fast():
+        with obs.observing(trace=False, metrics=True) as ctx:
+            _cross_enclave_scenario()
+    snap = ctx.metrics.snapshot()
+    assert snap.get("fastpath.walkcache.hits", 0) > 0
+    assert snap.get("fastpath.ipi.batched_rounds", 0) > 1
+
+
+def test_detailed_run_has_no_fastpath_counters():
+    with fidelity.detailed():
+        with obs.observing(trace=False, metrics=True) as ctx:
+            _cross_enclave_scenario()
+    assert not [k for k in ctx.metrics.snapshot() if k.startswith("fastpath.")]
 
 
 # -- store-level observables --------------------------------------------------
@@ -77,6 +189,9 @@ def _exercise_table():
     pt.map_range(base, pfns, RW)
     out.append(pt.translate_range(base, npages).tolist())
     pt.set_flags_range(base, npages, set_mask=PTE_PINNED)
+    out.append(pt.flag_mask(base, npages, PTE_PINNED).tolist())
+    out.append(pt.range_flags_all(base, npages, PTE_PINNED))
+    pt.set_flags_range(base + 700 * PAGE_SIZE, 600, clear_mask=PTE_PINNED)
     out.append(pt.flag_mask(base, npages, PTE_PINNED).tolist())
     out.append(pt.range_flags_all(base, npages, PTE_PINNED))
     # sparse fill with holes, spanning multiple leaves
@@ -117,14 +232,11 @@ def _exercise_table():
     return out
 
 
-@pytest.mark.parametrize("fp", ["off", "on"])
-def test_store_observables_identical(fp):
-    ctx = fastpath.disabled if fp == "off" else fastpath.enabled
-    with ctx():
-        with fidelity.detailed():
-            ref = _exercise_table()
-        with fidelity.fast():
-            fast = _exercise_table()
+def test_store_observables_identical():
+    with fidelity.detailed():
+        ref = _exercise_table()
+    with fidelity.fast():
+        fast = _exercise_table()
     assert fast == ref
 
 
@@ -144,6 +256,8 @@ def test_mode_binds_at_construction():
         fast_pt = PageTable()
     assert isinstance(detailed_pt._store, _RadixStore)
     assert isinstance(fast_pt._store, _ColumnarStore)
+    assert detailed_pt._walk_cache is None
+    assert fast_pt._walk_cache == {}
 
 
 def test_configured_restores_mode():

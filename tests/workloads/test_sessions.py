@@ -3,7 +3,7 @@
 from repro import obs
 from repro.obs import analysis
 from repro.obs.export import folded_stacks, prometheus_text
-from repro.sim import fastpath
+from repro.sim import fidelity
 from repro.workloads.sessions import SessionConfig, run_sessions
 
 
@@ -64,8 +64,9 @@ def test_observed_run_exports_are_byte_identical_across_repeats():
 
 
 def test_fast_and_slow_paths_export_identical_bytes():
-    fast = _observed_exports(small_cfg())
-    with fastpath.disabled():
+    with fidelity.fast():
+        fast = _observed_exports(small_cfg())
+    with fidelity.detailed():
         slow = _observed_exports(small_cfg())
     assert fast == slow
 

@@ -1,7 +1,7 @@
 """The soak harness's three contracts.
 
 1. Determinism: same config → byte-identical BENCH_serving.json across
-   reruns and across the fastpath/fidelity twins.
+   reruns and across the fast/detailed fidelity twins.
 2. Graceful degradation: past saturation the protected ramp holds
    goodput near its peak while the unprotected baseline collapses —
    in the same artifact, same seed, same fault plan, same arrivals.
@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.sim import fastpath
+from repro.sim import fidelity
 from repro.workloads.soak import (
     SoakConfig, bench_doc, main, run_soak, run_soak_pair,
 )
@@ -36,7 +36,8 @@ def doc_bytes(**overrides):
 
 @pytest.fixture(scope="module")
 def fast_pair():
-    return run_soak_pair(SoakConfig(**FAST))
+    with fidelity.fast():
+        return run_soak_pair(SoakConfig(**FAST))
 
 
 def test_flows_all_settle_and_drain(fast_pair):
@@ -70,7 +71,7 @@ def test_same_seed_same_bytes(fast_pair):
 
 
 def test_fastpath_twins_are_byte_identical(fast_pair):
-    with fastpath.disabled():
+    with fidelity.detailed():
         slow = doc_bytes()
     assert slow == json.dumps(bench_doc(*fast_pair), sort_keys=True)
 
