@@ -98,22 +98,6 @@ def test_run_until_beyond_queue_advances_clock():
     assert eng.now == 999
 
 
-def test_run_until_executes_events_exactly_at_boundary():
-    """Events scheduled exactly at until_ns run; the clock lands on until_ns."""
-    eng = Engine()
-    fired = []
-    eng.call_at(50, fired.append, "early")
-    eng.call_at(100, fired.append, "boundary")
-    eng.call_at(101, fired.append, "late")
-    eng.run(until_ns=100)
-    assert fired == ["early", "boundary"]
-    assert eng.now == 100
-    assert eng.queue_len == 1
-    eng.run()
-    assert fired == ["early", "boundary", "late"]
-    assert eng.now == 101
-
-
 def test_run_until_boundary_same_under_observer():
     """An observed engine drains through step(), not the inlined loop;
     the until_ns boundary must behave identically."""
@@ -129,36 +113,6 @@ def test_run_until_boundary_same_under_observer():
     eng.run(until_ns=500)
     assert fired == ["early", "boundary", "late"]
     assert eng.now == 500
-
-
-def test_run_until_past_queue_advances_clock():
-    eng = Engine()
-    eng.call_at(10, lambda: None)
-    eng.run(until_ns=500)
-    assert eng.now == 500
-
-
-def test_process_mix_end_times():
-    """A process mix (timeouts, events) ends at the expected instants."""
-    eng = Engine()
-    ev = eng.event("go")
-
-    def pinger():
-        yield eng.sleep(7)
-        ev.trigger("ping")
-        yield eng.sleep(5)
-        return eng.now
-
-    def waiter():
-        got = yield ev
-        yield eng.sleep(3)
-        return (got, eng.now)
-
-    p1 = eng.spawn(pinger())
-    p2 = eng.spawn(waiter())
-    eng.run()
-    assert p1.result == 12
-    assert p2.result == ("ping", 10)
 
 
 def test_event_trigger_resumes_waiter_with_value():

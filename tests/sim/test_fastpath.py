@@ -1,70 +1,24 @@
-"""Fast-path flag plumbing and engine run-boundary semantics."""
+"""Engine run-boundary semantics under both fidelity modes.
 
-import os
-import subprocess
-import sys
+The engine binds no fidelity twin: the fast paths live in the page
+table, the Pisces channel and the Linux fault handler. These tests pin
+that down — the same event and process schedule must behave the same
+when the run is scoped in ``fast`` (``fast=True``) or ``detailed`` mode.
+"""
 
 import pytest
 
-from repro.obs import EngineObserver
-from repro.sim import Engine, fastpath
-from repro.sim.fastpath import FASTPATH
+from repro.sim import Engine, fidelity
 
 
-def test_flags_default_on():
-    assert FASTPATH.ipi_batching
-    assert FASTPATH.walk_cache
-    assert FASTPATH.range_vectorize
-    assert FASTPATH.fault_vectorize
-
-
-def test_disabled_context_restores():
-    with fastpath.disabled():
-        assert not FASTPATH.ipi_batching
-        assert not FASTPATH.walk_cache
-    assert FASTPATH.ipi_batching
-    assert FASTPATH.walk_cache
-
-
-def test_configured_single_flag():
-    with fastpath.configured(walk_cache=False):
-        assert not FASTPATH.walk_cache
-        assert FASTPATH.ipi_batching  # others untouched
-    assert FASTPATH.walk_cache
-
-
-def test_configured_rejects_unknown_flag():
-    with pytest.raises(ValueError, match="unknown fast-path flag"):
-        with fastpath.configured(warp_drive=True):
-            pass
-
-
-def test_configured_restores_on_exception():
-    with pytest.raises(RuntimeError):
-        with fastpath.configured(ipi_batching=False):
-            raise RuntimeError("boom")
-    assert FASTPATH.ipi_batching
-
-
-def test_env_override_disables_all():
-    code = (
-        "from repro.sim.fastpath import FASTPATH; "
-        "print(int(FASTPATH.any_enabled))"
-    )
-    env = dict(os.environ, REPRO_FASTPATH="0", PYTHONPATH="src")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env=env, cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "0"
+def _mode(fast):
+    return fidelity.fast() if fast else fidelity.detailed()
 
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_run_until_executes_events_exactly_at_boundary(fast):
     """Events scheduled exactly at until_ns run; the clock lands on until_ns."""
-    ctx = fastpath.enabled() if fast else fastpath.disabled()
-    with ctx:
+    with _mode(fast):
         eng = Engine()
         fired = []
         eng.call_at(50, fired.append, "early")
@@ -79,27 +33,9 @@ def test_run_until_executes_events_exactly_at_boundary(fast):
         assert eng.now == 101
 
 
-def test_run_until_boundary_same_under_observer():
-    """An observed engine drains through step(), not the inlined loop;
-    the until_ns boundary must behave identically."""
-    eng = Engine(obs=EngineObserver())
-    fired = []
-    eng.call_at(50, fired.append, "early")
-    eng.call_at(100, fired.append, "boundary")
-    eng.call_at(101, fired.append, "late")
-    eng.run(until_ns=100)
-    assert fired == ["early", "boundary"]
-    assert eng.now == 100
-    assert eng.queue_len == 1
-    eng.run(until_ns=500)
-    assert fired == ["early", "boundary", "late"]
-    assert eng.now == 500
-
-
 @pytest.mark.parametrize("fast", [True, False])
 def test_run_until_past_queue_advances_clock(fast):
-    ctx = fastpath.enabled() if fast else fastpath.disabled()
-    with ctx:
+    with _mode(fast):
         eng = Engine()
         eng.call_at(10, lambda: None)
         eng.run(until_ns=500)
@@ -108,9 +44,8 @@ def test_run_until_past_queue_advances_clock(fast):
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_processes_identical_under_both_paths(fast):
-    """A process mix (timeouts, events, interrupts) ends at the same instant."""
-    ctx = fastpath.enabled() if fast else fastpath.disabled()
-    with ctx:
+    """A process mix (timeouts, events) ends at the same instants."""
+    with _mode(fast):
         eng = Engine()
         ev = eng.event("go")
 

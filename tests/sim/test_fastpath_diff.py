@@ -1,151 +1,42 @@
-"""Differential tests: fast paths must be invisible except in wall-clock.
+"""Differential tests with observability dark.
 
-Each scenario runs twice — all fast paths off (the slow reference
-implementation) and all on — under full observability. The two runs must
-agree on the virtual end time, on every metrics counter outside the
-``fastpath.*`` namespace, and on the byte-exact JSONL trace export.
+The benchmarks time the simulator with no observer attached: the engine
+drains through its inlined loop and the fast paths skip their counter
+updates. The scenarios of ``test_fidelity_diff`` run here in that
+configuration, once in ``detailed`` and once in ``fast`` mode, and must
+reach the same virtual end time and the same XEMEM module statistics —
+and the same ones as their observed run.
 """
 
-import io
-
 from repro import obs
-from repro.hw.costs import PAGE_4K
-from repro.sim import fastpath
-from repro.xemem import XpmemApi
+from repro.sim import fidelity
 
-from tests.xemem.conftest import build_system
-
-
-def _observed(scenario):
-    """Run ``scenario`` under tracing+metrics; return (end_ns, counters, trace)."""
-    with obs.observing(trace=True, metrics=True) as ctx:
-        end_ns = scenario()
-    counters = {
-        k: v for k, v in ctx.metrics.snapshot().items()
-        if not k.startswith("fastpath.")
-    }
-    buf = io.StringIO()
-    ctx.tracer.to_jsonl(buf)
-    return end_ns, counters, buf.getvalue()
+from tests.sim.test_fidelity_diff import (
+    _contended_scenario,
+    _cross_enclave_scenario,
+    _linux_local_scenario,
+    _observed,
+)
 
 
-def _assert_identical(scenario):
-    with fastpath.disabled():
-        slow = _observed(scenario)
-    with fastpath.enabled():
-        fast = _observed(scenario)
-    assert fast[0] == slow[0], "virtual end time diverged"
-    assert fast[1] == slow[1], "metrics counters diverged"
-    assert fast[2] == slow[2], "trace export bytes diverged"
-
-
-def _cross_enclave_scenario():
-    """Single co-kernel: burst-eligible IPI chunking, walk cache on the
-    recurring attach, vectorized EAGER map install."""
-    rig = build_system(num_cokernels=1)
-    eng = rig["engine"]
-    kitten = rig["cokernels"][0]
-    npages = 20_000  # ~80 MB -> several IPI chunk rounds per attach
-    kitten.kernel.heap_pages = npages  # heap is sized at process creation
-    kp = kitten.kernel.create_process("exp")
-    lp = rig["linux"].kernel.create_process("att", core_id=2)
-    heap = kitten.kernel.heap_region(kp)
-
-    def run():
-        api_k, api_l = XpmemApi(kp), XpmemApi(lp)
-        segid = yield from api_k.xpmem_make(heap.start, npages * PAGE_4K)
-        apid = yield from api_l.xpmem_get(segid)
-        for _ in range(2):  # second round re-walks the unchanged range
-            att = yield from api_l.xpmem_attach(apid)
-            yield from rig["linux"].kernel.touch_pages(lp, att.vaddr, npages)
-            yield from api_l.xpmem_detach(att)
-        yield from api_l.xpmem_release(apid)
-
-    eng.run_process(run())
-    return eng.now
-
-
-def _linux_local_scenario():
-    """Single-OS Linux path: partially-populated lazy faulting in
-    pin_pages (export side) and touch_pages (attach side)."""
-    rig = build_system(num_cokernels=1)
-    eng = rig["engine"]
-    linux = rig["linux"].kernel
-    exp = linux.create_process("exp", core_id=1)
-    att = linux.create_process("att", core_id=2)
-    npages = 300
-
-    def run():
-        region = yield from linux.mmap_anonymous(exp, npages * PAGE_4K, "src")
-        # touch only half: the export's get_user_pages must fault the rest
-        yield from linux.touch_pages(exp, region.start, npages // 2)
-        api_e, api_a = XpmemApi(exp), XpmemApi(att)
-        segid = yield from api_e.xpmem_make(region.start, npages * PAGE_4K)
-        apid = yield from api_a.xpmem_get(segid)
-        attached = yield from api_a.xpmem_attach(apid)
-        # partial touch, then full touch over the half-populated window
-        yield from linux.touch_pages(att, attached.vaddr, npages // 3)
-        yield from linux.touch_pages(att, attached.vaddr, npages, write=True)
-        yield from api_a.xpmem_detach(attached)
-        yield from api_a.xpmem_release(apid)
-
-    eng.run_process(run())
-    return eng.now
-
-
-def _contended_scenario():
-    """Two co-kernels: core 0 has two bound vectors, so IPI bursts must
-    fall back to per-round queueing (the §5.3 contention model)."""
-    rig = build_system(num_cokernels=2)
-    eng = rig["engine"]
-    linux = rig["linux"].kernel
-    npages = 12_000
-    procs = []
-    for i, kitten in enumerate(rig["cokernels"]):
-        kitten.kernel.heap_pages = npages
-        kp = kitten.kernel.create_process("exp")
-        lp = linux.create_process(f"att{i}", core_id=2 + i)
-        heap = kitten.kernel.heap_region(kp)
-        procs.append((kp, lp, heap))
-
-    def attacher(kp, lp, heap):
-        api_k, api_l = XpmemApi(kp), XpmemApi(lp)
-        segid = yield from api_k.xpmem_make(heap.start, npages * PAGE_4K)
-        apid = yield from api_l.xpmem_get(segid)
-        att = yield from api_l.xpmem_attach(apid)
-        yield from api_l.xpmem_detach(att)
-        yield from api_l.xpmem_release(apid)
-
-    for kp, lp, heap in procs:
-        eng.spawn(attacher(kp, lp, heap))
-    eng.run()
-    return eng.now
+def _assert_dark_identical(scenario):
+    assert not obs.get().enabled, "an ambient observer is attached"
+    with fidelity.detailed():
+        ref = scenario()
+    with fidelity.fast():
+        fast = scenario()
+        observed, _, _ = _observed(scenario)
+    assert fast == ref, "virtual end time or XEMEM stats diverged"
+    assert observed == fast, "observability moved the fast run"
 
 
 def test_cross_enclave_identical():
-    _assert_identical(_cross_enclave_scenario)
+    _assert_dark_identical(_cross_enclave_scenario)
 
 
 def test_linux_local_identical():
-    _assert_identical(_linux_local_scenario)
+    _assert_dark_identical(_linux_local_scenario)
 
 
 def test_contended_identical():
-    _assert_identical(_contended_scenario)
-
-
-def test_fast_run_uses_walk_cache_and_burst():
-    """The fast run must actually take the fast paths it claims to."""
-    with fastpath.enabled():
-        with obs.observing(trace=False, metrics=True) as ctx:
-            _cross_enclave_scenario()
-    snap = ctx.metrics.snapshot()
-    assert snap.get("fastpath.walkcache.hits", 0) > 0
-    assert snap.get("fastpath.ipi.batched_rounds", 0) > 1
-
-
-def test_slow_run_has_no_fastpath_counters():
-    with fastpath.disabled():
-        with obs.observing(trace=False, metrics=True) as ctx:
-            _cross_enclave_scenario()
-    assert not [k for k in ctx.metrics.snapshot() if k.startswith("fastpath.")]
+    _assert_dark_identical(_contended_scenario)

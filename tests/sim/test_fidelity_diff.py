@@ -4,12 +4,13 @@ Each scenario runs twice under full observability — in ``detailed``
 mode (the radix store with every twin on its plain reference side: an
 uncached walk, per-round IPIs, per-page faults) and in ``fast`` mode
 (the columnar store plus the walk cache, IPI bursts and batched
-faults). The two runs must agree on the virtual end time, on every
-metrics counter outside the ``fastpath.*`` namespace the fast side may
-add, and on the byte-exact JSONL trace export (docs/COSTMODEL.md
-§ Fidelity modes). A store-level op-mix additionally pins down the
-per-operation observables — translations, masks, collision messages,
-and exact-hole fault addresses.
+faults). The two runs must agree on the virtual end time, on the XEMEM
+module statistics, on every metrics counter outside the ``fastpath.*``
+namespace the fast side may add, and on the byte-exact JSONL trace
+export (docs/COSTMODEL.md § Fidelity modes). A store-level op-mix
+additionally pins down the per-operation observables — translations,
+masks, collision messages, and exact-hole fault addresses — with
+observability off and on.
 """
 
 import io
@@ -40,17 +41,32 @@ from tests.xemem.conftest import build_system
 RW = PTE_PRESENT | PTE_WRITABLE | PTE_USER
 
 
-def _observed(scenario):
-    """Run ``scenario`` under tracing+metrics; return (end_ns, counters, trace)."""
-    with obs.observing(trace=True, metrics=True) as ctx:
-        end_ns = scenario()
-    counters = {
+def _counters(ctx):
+    """The metrics snapshot minus the ``fastpath.*`` namespace."""
+    return {
         k: v for k, v in ctx.metrics.snapshot().items()
         if not k.startswith("fastpath.")
     }
+
+
+def _outcome(rig):
+    """What a scenario computed: its virtual end time and the statistics
+    of every XEMEM module."""
+    return {
+        "end_ns": rig["engine"].now,
+        "xemem_stats": {
+            name: dict(module.stats) for name, module in rig["modules"].items()
+        },
+    }
+
+
+def _observed(scenario):
+    """Run ``scenario`` under tracing+metrics; return (outcome, counters, trace)."""
+    with obs.observing(trace=True, metrics=True) as ctx:
+        outcome = scenario()
     buf = io.StringIO()
     ctx.tracer.to_jsonl(buf)
-    return end_ns, counters, buf.getvalue()
+    return outcome, _counters(ctx), buf.getvalue()
 
 
 def _assert_identical(scenario):
@@ -58,7 +74,7 @@ def _assert_identical(scenario):
         ref = _observed(scenario)
     with fidelity.fast():
         fast = _observed(scenario)
-    assert fast[0] == ref[0], "virtual end time diverged"
+    assert fast[0] == ref[0], "virtual end time or XEMEM stats diverged"
     assert fast[1] == ref[1], "metrics counters diverged"
     assert fast[2] == ref[2], "trace export bytes diverged"
 
@@ -86,7 +102,7 @@ def _cross_enclave_scenario():
         yield from api_l.xpmem_release(apid)
 
     eng.run_process(run())
-    return eng.now
+    return _outcome(rig)
 
 
 def _linux_local_scenario():
@@ -114,7 +130,7 @@ def _linux_local_scenario():
         yield from api_a.xpmem_release(apid)
 
     eng.run_process(run())
-    return eng.now
+    return _outcome(rig)
 
 
 def _contended_scenario():
@@ -143,7 +159,7 @@ def _contended_scenario():
     for kp, lp, heap in procs:
         eng.spawn(attacher(kp, lp, heap))
     eng.run()
-    return eng.now
+    return _outcome(rig)
 
 
 def test_cross_enclave_identical():
@@ -232,11 +248,21 @@ def _exercise_table():
     return out
 
 
-def test_store_observables_identical():
+def _store_run(observed):
+    """The op-mix outputs, plus the counters it bumps when observed."""
+    if observed == "off":
+        return _exercise_table(), {}
+    with obs.observing(trace=False, metrics=True) as ctx:
+        out = _exercise_table()
+    return out, _counters(ctx)
+
+
+@pytest.mark.parametrize("observed", ["off", "on"])
+def test_store_observables_identical(observed):
     with fidelity.detailed():
-        ref = _exercise_table()
+        ref = _store_run(observed)
     with fidelity.fast():
-        fast = _exercise_table()
+        fast = _store_run(observed)
     assert fast == ref
 
 
