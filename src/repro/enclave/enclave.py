@@ -140,9 +140,10 @@ class Channel:
         self.messages_sent += 1
         self.pfns_carried += msg.npfns
         o = obs.get()
-        o.counter("channel.msgs").inc()
-        if msg.npfns:
-            o.counter("channel.pfns").inc(msg.npfns)
+        if o.metrics.enabled:
+            o.counter("channel.msgs").inc()
+            if msg.npfns:
+                o.counter("channel.pfns").inc(msg.npfns)
         if verdict == "drop":
             o.counter("faults.msgs.dropped").inc()
             return

@@ -41,6 +41,9 @@ class InterruptController:
         self.engine = engine
         self.node = node
         self._handlers: Dict[Tuple[int, int], Callable] = {}
+        #: Bound vectors per core, kept by register/unregister so
+        #: :meth:`vectors_on_core` is a lookup, not a scan.
+        self._bound_per_core: Dict[int, int] = {}
         self._next_vector = 32  # vectors below 32 are reserved (exceptions)
         self.delivered = 0
 
@@ -58,10 +61,15 @@ class InterruptController:
         if key in self._handlers:
             raise ValueError(f"vector {vec.vector} on core {vec.core_id} already bound")
         self._handlers[key] = handler
+        per_core = self._bound_per_core
+        per_core[vec.core_id] = per_core.get(vec.core_id, 0) + 1
 
     def unregister(self, vec: IpiVector) -> None:
         """Unbind a vector (idempotent)."""
-        self._handlers.pop((vec.core_id, vec.vector), None)
+        key = (vec.core_id, vec.vector)
+        if key in self._handlers:
+            del self._handlers[key]
+            self._bound_per_core[vec.core_id] -= 1
 
     def send_ipi(self, vec: IpiVector, payload: Optional[object] = None):
         """Generator: deliver an IPI and wait until its handler completes.
@@ -98,14 +106,15 @@ class InterruptController:
             core.log_steal(start, self.engine.now - start, f"irq:{vec.vector}")
         self.delivered += 1
         o = obs.get()
-        o.counter("hw.ipi.delivered").inc()
-        o.counter(f"hw.ipi.core{vec.core_id}.delivered").inc()
-        o.histogram("hw.ipi.handler_ns").observe(self.engine.now - start)
+        if o.metrics.enabled:
+            o.counter("hw.ipi.delivered").inc()
+            o.counter(f"hw.ipi.core{vec.core_id}.delivered").inc()
+            o.histogram("hw.ipi.handler_ns").observe(self.engine.now - start)
         return result
 
     def vectors_on_core(self, core_id: int) -> int:
         """How many vectors currently have handlers bound on ``core_id``."""
-        return sum(1 for (cid, _v) in self._handlers if cid == core_id)
+        return self._bound_per_core.get(core_id, 0)
 
     def send_ipi_burst(self, vec: IpiVector, rounds: int, occupancy_ns: int):
         """Generator: ``rounds`` identical back-to-back IPIs as one reservation.
@@ -149,11 +158,12 @@ class InterruptController:
                 )
         self.delivered += rounds
         o = obs.get()
-        o.counter("hw.ipi.delivered").inc(rounds)
-        o.counter(f"hw.ipi.core{vec.core_id}.delivered").inc(rounds)
-        hist = o.histogram("hw.ipi.handler_ns")
-        for _ in range(rounds):
-            hist.observe(occupancy_ns)
+        if o.metrics.enabled:
+            o.counter("hw.ipi.delivered").inc(rounds)
+            o.counter(f"hw.ipi.core{vec.core_id}.delivered").inc(rounds)
+            hist = o.histogram("hw.ipi.handler_ns")
+            for _ in range(rounds):
+                hist.observe(occupancy_ns)
 
     def post_ipi(self, vec: IpiVector, payload: Optional[object] = None):
         """Fire-and-forget IPI: spawn delivery as its own process."""

@@ -1,6 +1,6 @@
 """Observability for the simulator: span tracing, metrics, engine hooks.
 
-Three pieces, all default-off and zero-cost when disabled:
+Three pieces, all default-off and recording nothing when disabled:
 
 * :mod:`repro.obs.tracer` — nestable spans on the virtual clock,
   exportable as Chrome/Perfetto ``trace.json`` or JSONL;

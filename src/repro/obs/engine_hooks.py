@@ -20,6 +20,7 @@ or metric snapshots, so those stay byte-identical across runs.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -28,7 +29,13 @@ from repro.sim.record import SeriesStats
 
 
 def _callback_site(callback) -> str:
-    """A stable label for where an event callback was defined."""
+    """A stable label for where an event callback was defined.
+
+    ``functools.partial`` wrappers and bound methods are unwrapped, so a
+    process resumption is labelled ``repro.sim.process:Process._step``.
+    """
+    while isinstance(callback, functools.partial):
+        callback = callback.func
     func = getattr(callback, "__func__", callback)
     qualname = getattr(func, "__qualname__", None)
     if qualname is None:

@@ -5,8 +5,11 @@ A :class:`Tracer` records nestable, timestamped spans::
     with tracer.span("xemem.attach", engine, track="kitten-0", pages=npages):
         ...  # simulated work; the span's duration is virtual time
 
-Spans are **zero-cost when disabled**: :meth:`Tracer.span` returns a
-shared no-op context manager and touches nothing else. All recorded
+Spans record nothing when disabled: :meth:`Tracer.span` returns a
+shared no-op context manager and touches nothing else. The call, its
+attribute keywords and the no-op manager's enter/exit still cost host
+time (see :mod:`repro.obs.context`), so a site on the per-message path
+reads ``tracer.enabled`` before it builds a span at all. All recorded
 timestamps come from the simulation's virtual clock, so two identical
 runs produce identical traces (byte-identical exports); host wallclock
 never enters a trace.

@@ -25,6 +25,7 @@ from __future__ import annotations
 from repro import obs
 from repro.enclave.enclave import Channel, Enclave, KernelMessage
 from repro.hw.interrupts import IpiVector
+from repro.obs.tracer import NULL_SPAN
 from repro.sim.fidelity import FIDELITY
 
 
@@ -106,13 +107,20 @@ class PiscesChannel(Channel):
         marshal_ns = npfns * (costs.channel_per_pfn_ns + penalty)
         self.transfers_started += 1
         o = obs.get()
-        # Journey tag: requests carry req_id, responses reply_to — either
-        # way the transfer belongs to that request's journey.
-        rid = msg.payload.get("req_id") or msg.payload.get("reply_to")
-        with o.span("pisces.transfer", engine, track=self.name,
-                    kind=msg.kind, npfns=npfns, chunks=chunks,
-                    marshal_ns=marshal_ns,
-                    **({"req_id": rid} if rid else {})):
+        # Dark runs build no span attributes and touch no counters: this
+        # runs once per channel message.
+        metrics_on = o.metrics.enabled
+        if o.tracer.enabled:
+            # Journey tag: requests carry req_id, responses reply_to —
+            # either way the transfer belongs to that request's journey.
+            rid = msg.payload.get("req_id") or msg.payload.get("reply_to")
+            span = o.span("pisces.transfer", engine, track=self.name,
+                          kind=msg.kind, npfns=npfns, chunks=chunks,
+                          marshal_ns=marshal_ns,
+                          **({"req_id": rid} if rid else {}))
+        else:
+            span = NULL_SPAN
+        with span:
             # Per-PFN marshalling through the shared region (source side).
             yield engine.sleep(marshal_ns)
             # One IPI round per chunk; the handler occupies the target core.
@@ -134,13 +142,15 @@ class PiscesChannel(Channel):
                 yield from intc.send_ipi_burst(
                     vec, chunks, costs.ipi_handler_core0_ns
                 )
-                o.counter("fastpath.ipi.batched_rounds").inc(chunks)
+                if metrics_on:
+                    o.counter("fastpath.ipi.batched_rounds").inc(chunks)
             else:
                 for _ in range(chunks):
                     yield from intc.send_ipi(vec, costs.ipi_handler_core0_ns)
         self.transfers_completed += 1
-        o.counter("pisces.channel.msgs").inc()
-        o.counter("pisces.channel.pfns").inc(npfns)
-        o.counter("pisces.channel.bytes").inc(npfns * 8)
-        o.counter("pisces.channel.ipi_rounds").inc(chunks)
+        if metrics_on:
+            o.counter("pisces.channel.msgs").inc()
+            o.counter("pisces.channel.pfns").inc(npfns)
+            o.counter("pisces.channel.bytes").inc(npfns * 8)
+            o.counter("pisces.channel.ipi_rounds").inc(chunks)
         return msg

@@ -258,9 +258,7 @@ class Engine:
 
     def spawn(self, gen, name: str = "") -> "Process":
         """Start a new process from generator ``gen``; returns the Process."""
-        from repro.sim.process import Process
-
-        proc = Process(self, gen, name=name)
+        proc = _process.Process(self, gen, name=name)
         self._processes[proc] = None
         if self.obs is not None:
             self.obs.on_spawn(self, proc)
@@ -386,3 +384,9 @@ class Engine:
                 self.faults is not None and self.faults.active
             ),
         }
+
+
+# Bound after every class above exists: ``repro.sim.process`` imports
+# them back, so a top-of-module import would be circular. Importing once
+# here keeps ``spawn`` free of a per-call import.
+from repro.sim import process as _process  # noqa: E402

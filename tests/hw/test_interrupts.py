@@ -138,3 +138,32 @@ def test_unregister_then_send_fails():
 
     with pytest.raises(RuntimeError):
         eng.run_process(sender())
+
+
+def test_vectors_on_core_tracks_register_and_unregister():
+    _eng, node = make_node()
+    intc = node.intc
+    a, b = intc.allocate_vector(1), intc.allocate_vector(1)
+    other = intc.allocate_vector(3)
+
+    def handler(_):
+        yield from ()
+
+    assert intc.vectors_on_core(1) == 0
+    intc.register(a, handler)
+    intc.register(b, handler)
+    intc.register(other, handler)
+    assert (intc.vectors_on_core(1), intc.vectors_on_core(3)) == (2, 1)
+    with pytest.raises(ValueError):
+        intc.register(a, handler)  # a rejected rebind counts nothing
+    assert intc.vectors_on_core(1) == 2
+    intc.unregister(a)
+    assert intc.vectors_on_core(1) == 1
+    intc.unregister(a)  # idempotent: never drives the count negative
+    intc.unregister(intc.allocate_vector(1))  # never bound at all
+    assert (intc.vectors_on_core(1), intc.vectors_on_core(3)) == (1, 1)
+    intc.unregister(b)
+    intc.unregister(b)
+    assert intc.vectors_on_core(1) == 0
+    intc.register(a, handler)  # rebinding after unbind counts again
+    assert intc.vectors_on_core(1) == 1
