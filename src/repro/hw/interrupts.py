@@ -41,9 +41,6 @@ class InterruptController:
         self.engine = engine
         self.node = node
         self._handlers: Dict[Tuple[int, int], Callable] = {}
-        #: Bound vectors per core, kept by register/unregister so
-        #: :meth:`vectors_on_core` is a lookup, not a scan.
-        self._bound_per_core: Dict[int, int] = {}
         self._next_vector = 32  # vectors below 32 are reserved (exceptions)
         self.delivered = 0
 
@@ -61,15 +58,10 @@ class InterruptController:
         if key in self._handlers:
             raise ValueError(f"vector {vec.vector} on core {vec.core_id} already bound")
         self._handlers[key] = handler
-        per_core = self._bound_per_core
-        per_core[vec.core_id] = per_core.get(vec.core_id, 0) + 1
 
     def unregister(self, vec: IpiVector) -> None:
         """Unbind a vector (idempotent)."""
-        key = (vec.core_id, vec.vector)
-        if key in self._handlers:
-            del self._handlers[key]
-            self._bound_per_core[vec.core_id] -= 1
+        self._handlers.pop((vec.core_id, vec.vector), None)
 
     def send_ipi(self, vec: IpiVector, payload: Optional[object] = None):
         """Generator: deliver an IPI and wait until its handler completes.
@@ -114,7 +106,7 @@ class InterruptController:
 
     def vectors_on_core(self, core_id: int) -> int:
         """How many vectors currently have handlers bound on ``core_id``."""
-        return self._bound_per_core.get(core_id, 0)
+        return sum(1 for (cid, _v) in self._handlers if cid == core_id)
 
     def send_ipi_burst(self, vec: IpiVector, rounds: int, occupancy_ns: int):
         """Generator: ``rounds`` identical back-to-back IPIs as one reservation.

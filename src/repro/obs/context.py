@@ -7,20 +7,14 @@ context is **disabled**: spans return a shared null context manager,
 metrics return a shared null sink, and engines get no observer, so
 simulation behaviour and benchmark numbers are unchanged.
 
-A dark site still costs host time. An unguarded one pays the
-:func:`get` call, the ``span``/``counter``/``histogram`` call that
-checks the flag, the null object's ``inc``/``observe`` or
-``__enter__``/``__exit__``, and whatever the caller built for the call:
-span attribute keywords and f-string metric names. On a 2-vCPU Xeon
-container under CPython 3.11 that is ~0.15 µs for a dark
-``counter(name).inc()``, ~0.35 µs with an f-string name and ~1.5 µs for
-a span call with five attribute keywords. The sites that run once per
-channel message (``PiscesChannel._transfer``,
-``InterruptController.send_ipi``/``send_ipi_burst``, ``Channel.send``)
-therefore check ``tracer.enabled`` and ``metrics.enabled`` themselves:
-dark, they pay :func:`get` plus one flag read per surface and build
-nothing. Don't shadow the ``ObsContext`` methods on an instance to
-make them cheaper; the benchmark harness wraps them on the class.
+A dark site is not free: it still pays the :func:`get` call, the
+``span``/``counter``/``histogram`` call, the null object's methods and
+whatever the caller built for the call (span attribute keywords,
+f-string metric names). So a site that runs once per channel message
+checks ``tracer.enabled`` and ``metrics.enabled`` itself and builds
+nothing when dark. Don't shadow the ``ObsContext`` methods on an
+instance to make them cheaper; the benchmark harness wraps them on the
+class. EXPERIMENTS.md "Per-message host diet" has the measured costs.
 
 The CLI (``python -m repro fig5 --trace out.json --metrics``) and tests
 enable observability by installing an enabled context, either directly

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Any, Optional
 
-from repro.sim.engine import Awaitable, Engine, SimError, Timeout
+from repro.sim.engine import Awaitable, Engine, SimError
 
 
 class Interrupt(Exception):
@@ -88,16 +88,7 @@ class Process(Awaitable):
                 ),
             )
             return
-        if type(target) is Timeout:
-            # Exactly the call Timeout.subscribe would make (same time,
-            # same seq), with the epoch riding in the queue entry instead
-            # of a per-suspension closure.
-            engine.call_at(
-                engine.now + target.delay_ns, self._step, self._epoch,
-                target.value, None,
-            )
-        else:
-            target.subscribe(partial(self._step, self._epoch))
+        target.subscribe(partial(self._step, self._epoch))
 
     def _finish(self, result: Any, exc: Optional[BaseException]) -> None:
         self.finished = True

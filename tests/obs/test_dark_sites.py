@@ -3,8 +3,10 @@
 A Pisces transfer, the IPIs it sends and the ``Channel.send`` around it
 run once per channel message. With the default (disabled) context they
 fetch the context and check its tracer and registry flags, and never
-reach either: the tracer's ``span`` and the registry's ``counter`` and
-``histogram`` are patched to raise here. Under ``observing()`` the same
+reach either: the context's ``span``, ``counter`` and ``histogram``
+and the tracer's and registry's own are patched to raise here. (A dark
+``ObsContext.span`` returns the null span without calling the tracer,
+so only the context-level patch proves the site skipped the call.) Under ``observing()`` the same
 scenario records the counters, histogram and ``pisces.transfer`` span
 attributes pinned below.
 """
@@ -16,6 +18,7 @@ from repro import obs
 from repro.enclave import KernelMessage
 from repro.hw import NodeHardware, R420_SPEC
 from repro.hw.costs import GB
+from repro.obs.context import ObsContext
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.pisces import PiscesManager
@@ -70,6 +73,8 @@ def test_dark_sites_never_reach_tracer_or_registry(monkeypatch):
     monkeypatch.setattr(MetricsRegistry, "counter", boom)
     monkeypatch.setattr(MetricsRegistry, "histogram", boom)
     monkeypatch.setattr(Tracer, "span", boom)
+    for method in ("span", "counter", "histogram"):
+        monkeypatch.setattr(ObsContext, method, boom)
     assert scenario() == ENDS
 
 
