@@ -1,10 +1,8 @@
 """Benchmark harness support.
 
-Each benchmark runs its figure's experiment generator once (the
-simulation is deterministic; pytest-benchmark's repetition would measure
-the simulator, not the system), asserts the paper's qualitative
-invariants, and writes a paper-vs-measured report to
-``benchmarks/results/<name>.txt`` — the inputs to EXPERIMENTS.md.
+``test_experiments.py`` runs each paper experiment once, checks its
+claims, and writes its report to ``benchmarks/results/<name>.txt`` through
+the ``report_file`` fixture — the inputs to EXPERIMENTS.md.
 """
 
 import pathlib
@@ -33,8 +31,3 @@ def report_file():
         print(f"\n=== {name} ===\n{text}")
 
     return write
-
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

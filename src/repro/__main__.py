@@ -3,13 +3,12 @@
 Usage::
 
     python -m repro list
-    python -m repro fig5 [--reps 20]
-    python -m repro fig6 [--reps 5]
-    python -m repro table2 [--reps 5]
-    python -m repro fig7 [--seconds 10]
-    python -m repro fig8 [--runs 5]
-    python -m repro fig9 [--runs 3]
-    python -m repro ablations [--reps 3]
+    python -m repro fig5|fig6|table2|ablation_memmap|ablation_ipi|
+                    ablation_sensitivity [--reps N]
+    python -m repro fig7 [--seconds N]
+    python -m repro fig8|fig9|ablation_notify [--runs N]
+    python -m repro ablations [--reps N] [--runs N]
+    python -m repro explain
     python -m repro all
     python -m repro chaos [--seed N] [--plan SPEC] [--cokernels N] [--ops N]
                           [--bundle-dir DIR] [--overload SPEC]
@@ -34,8 +33,11 @@ the protected run (docs/OVERLOAD.md); ``diagnose`` renders a bundle as
 a causal timeline and ``perf-diff`` attributes the virtual-time delta
 between two captures — see docs/OBSERVABILITY.md.
 
-Each command builds the experiment from scratch, runs it on the virtual
-clock, and prints the same rows/series the paper reports.
+Each experiment command builds the experiment from scratch, runs it on
+the virtual clock, and prints the same text the bench writes to
+``benchmarks/results/`` (see repro.bench.experiments). A count flag the
+command does not read is ignored; an omitted one defaults to the count
+the committed results text was made with.
 
 Every figure command also accepts the observability flags::
 
@@ -43,14 +45,13 @@ Every figure command also accepts the observability flags::
     --trace-format jsonl write JSONL instead of Chrome trace format
     --metrics            print a metrics snapshot after the figures
     --metrics-out m.json write the metrics snapshot to a file
-    --profile            print the simulator's wallclock hot-path profile
     --flightrec          arm the flight-recorder black box (dumps an
                          incident bundle on unhandled exceptions)
     --flightrec-dump DIR arm the black box and always dump a bundle to DIR
 
-All recording is against the virtual clock (traces and metrics are
-byte-identical between identical runs); only ``--profile`` reads host
-time, and its output never enters the trace or metrics files.
+All recording is against the virtual clock: traces and metrics are
+byte-identical between identical runs. Host time per simulator layer is
+measured outside the package, by ``benchmarks/e2e/run.py --trace 1``.
 """
 
 from __future__ import annotations
@@ -61,137 +62,13 @@ import sys
 import time
 
 from repro import obs
-from repro.bench import figures
-from repro.bench.report import render_series, render_table
+from repro.bench.experiments import EXPERIMENTS
+from repro.bench.report import render_table
 from repro.hw.costs import MB
 
 
-def _fig5(args) -> str:
-    r = figures.fig5_throughput(reps=args.reps)
-    return render_series(
-        {
-            "attach GiB/s": r.attach_gib_s,
-            "attach+read GiB/s": r.attach_read_gib_s,
-            "RDMA GiB/s": r.rdma_gib_s,
-        },
-        "size MB",
-        [s // MB for s in r.sizes_bytes],
-        title="Figure 5 (paper: ~13 / ~12 / ~3.4 GB/s)",
-    )
-
-
-def _fig6(args) -> str:
-    r = figures.fig6_scalability(reps=args.reps)
-    return render_series(
-        {f"{s // MB}MB": r.throughput[s] for s in r.sizes_bytes},
-        "enclaves",
-        r.enclave_counts,
-        title="Figure 6 (paper: ~13 at 1 enclave, slight dip at 2, then flat)",
-    )
-
-
-def _table2(args) -> str:
-    r = figures.table2_vm_throughput(reps=args.reps)
-    rows = [
-        (row.exporting, row.attaching, row.gib_s,
-         "-" if row.gib_s_without_rb is None else f"{row.gib_s_without_rb:.3f}")
-        for row in r.rows
-    ]
-    return render_table(
-        ["exporting", "attaching", "GiB/s", "w/o rb inserts"],
-        rows,
-        title="Table 2 (paper: 12.841 / 3.991 (8.79) / 12.606 GB/s)",
-    )
-
-
-def _fig7(args) -> str:
-    from repro.bench.plot import render_scatter
-
-    r = figures.fig7_noise(duration_s=args.seconds)
-    rows = [("baseline", f"{r.baseline_us:.1f} us"), ("SMI", f"{r.smi_us:.1f} us")]
-    rows += [(f"{label} attachment", f"{us:.1f} us" if us else "below threshold")
-             for label, us in r.attach_detour_us.items()]
-    table = render_table(
-        ["detour source", "duration"],
-        rows,
-        title=f"Figure 7 — {len(r.detours)} detours in {args.seconds}s window",
-    )
-    series = {}
-    for t, dur_us, source in r.detours:
-        series.setdefault(source.split(":")[0], []).append((t, dur_us))
-    scatter = render_scatter(
-        series,
-        log_y=True,
-        title="detour duration (us, log) over time — the paper's Fig. 7 panels:",
-        x_label="seconds",
-        y_label="us",
-    )
-    return table + "\n\n" + scatter
-
-
-def _fig8(args) -> str:
-    from repro.bench.report import render_bars
-
-    r = figures.fig8_single_node(runs=args.runs)
-    rows = [
-        (c.config, c.execution, c.attach, c.mean_s, c.stdev_s) for c in r.cells
-    ]
-    table = render_table(
-        ["configuration", "execution", "attach", "mean s", "stdev s"],
-        rows,
-        title="Figure 8 (paper band ~140-160 s)",
-    )
-    one_time = [
-        (f"{c.config} [{c.execution}]", c.mean_s)
-        for c in r.cells
-        if c.attach == "one_time"
-    ]
-    floor = 5 * (min(v for _l, v in one_time) // 5)
-    bars = render_bars(one_time, title="one-time attachment model:",
-                       unit="s", baseline=floor)
-    return table + "\n\n" + bars
-
-
-def _fig9(args) -> str:
-    r = figures.fig9_multi_node(runs=args.runs)
-    rows = [(p.attach, p.mode, p.nodes, p.mean_s, p.stdev_s) for p in r.points]
-    return render_table(
-        ["attach", "composition", "nodes", "mean s", "stdev s"],
-        rows,
-        title="Figure 9 (paper band ~42-54 s)",
-    )
-
-
-def _ablations(args) -> str:
-    base = figures.table2_vm_throughput(reps=args.reps)
-    radix = figures.table2_vm_throughput(reps=args.reps, memmap_backend="radix")
-    coal = figures.table2_vm_throughput(reps=args.reps, memmap_coalesce=True)
-
-    def vm_row(r):
-        return next(x for x in r.rows if x.attaching == "Linux (VM)")
-
-    rows = [
-        ("rbtree per-page (shipped)", vm_row(base).gib_s),
-        ("radix map (ablation A)", vm_row(radix).gib_s),
-        ("rbtree + coalescing (ablation C)", vm_row(coal).gib_s),
-    ]
-    part1 = render_table(["guest memory map", "VM attach GiB/s"], rows,
-                         title="Ablations A/C (paper baseline: 3.991 GB/s)")
-    core0 = figures.fig6_scalability(reps=args.reps, sizes=(256 * MB,))
-    spread = figures.fig6_scalability(
-        reps=args.reps, sizes=(256 * MB,), ipi_target_policy="distributed"
-    )
-    part2 = render_series(
-        {"core0": core0.throughput[256 * MB],
-         "distributed": spread.throughput[256 * MB]},
-        "enclaves",
-        core0.enclave_counts,
-        title="Ablation B — IPI routing (256MB, GiB/s per pair)",
-    )
-    return part1 + "\n\n" + part2
-
-
 def _explain(args) -> str:
+    """Stage-by-stage cost breakdown of one native and one VM attach."""
     from repro.bench.explain import explain_native_attach, explain_vm_attach
 
     parts = []
@@ -345,30 +222,25 @@ def _chaos(args):
     return "\n".join(report.lines()), 0 if report.reclaimed else 2
 
 
-def _render_profile(engine_obs) -> str:
-    """Format the wallclock hot-path profile (``--profile``)."""
-    rows = [
-        (site, calls, f"{secs:.3f}", f"{eps:,.0f}" if secs > 0 else "-")
-        for site, calls, secs, eps in engine_obs.hot_sites(top=15)
-    ]
-    if not rows:
-        return "profile: no callback sites recorded"
-    return render_table(
-        ["callback site", "events", "host s", "events/s"],
-        rows,
-        title=f"hot path ({engine_obs.events_executed} events executed):",
-    )
+def _experiment(entry):
+    """The CLI command for one registry entry: its count flag falls back
+    to the entry's default, and it prints exactly ``render(result)``."""
+
+    def command(args) -> str:
+        count = getattr(args, entry.flag)
+        return entry.render(entry.run(entry.count if count is None else count))
+
+    command.__doc__ = entry.title
+    return command
 
 
-COMMANDS = {
-    "explain": _explain,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "table2": _table2,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "ablations": _ablations,
+COMMANDS = {name: _experiment(entry) for name, entry in EXPERIMENTS.items()}
+COMMANDS["explain"] = _explain
+
+#: Commands that run several others, in this order.
+GROUPS = {
+    "ablations": [name for name in EXPERIMENTS if name.startswith("ablation_")],
+    "all": list(COMMANDS),
 }
 
 
@@ -410,20 +282,23 @@ def main(argv=None) -> int:
         description="Regenerate the XEMEM paper's evaluation figures.",
     )
     parser.add_argument("command",
-                        choices=sorted(COMMANDS) + ["all", "chaos", "inspect",
-                                                    "list", "report"])
+                        choices=sorted(COMMANDS) + sorted(GROUPS)
+                        + ["chaos", "inspect", "list", "report"])
     parser.add_argument("target", nargs="?",
                         help="trace file for the 'inspect'/'report' commands")
     parser.add_argument("--attribute", action="store_true",
                         help="inspect: add the per-subsystem cost attribution")
     parser.add_argument("--json", action="store_true",
                         help="report: machine-readable JSON instead of tables")
-    parser.add_argument("--reps", type=int, default=5,
-                        help="attachments per measurement (paper: 500)")
-    parser.add_argument("--runs", type=int, default=3,
-                        help="seeded runs per fig8/fig9 cell (paper: 10/5)")
-    parser.add_argument("--seconds", type=int, default=10,
-                        help="fig7 measurement window")
+    parser.add_argument("--reps", type=int,
+                        help="attachments per measurement (paper: 500; "
+                             "default: the experiment's count)")
+    parser.add_argument("--runs", type=int,
+                        help="seeded runs per fig8/fig9/ablation_notify cell "
+                             "(paper: 10/5; default: the experiment's count)")
+    parser.add_argument("--seconds", type=int,
+                        help="fig7 measurement window "
+                             "(default: the experiment's count)")
     parser.add_argument("--seed", type=int, default=0,
                         help="chaos: fault-plan RNG seed")
     parser.add_argument("--plan", metavar="SPEC",
@@ -448,8 +323,6 @@ def main(argv=None) -> int:
                         help="print a metrics snapshot after the figures")
     parser.add_argument("--metrics-out", metavar="PATH",
                         help="write the metrics snapshot to PATH as JSON")
-    parser.add_argument("--profile", action="store_true",
-                        help="print the host-wallclock hot-path profile")
     parser.add_argument("--flightrec", action="store_true",
                         help="arm the flight-recorder black box; an incident "
                              "bundle is dumped on unhandled exceptions")
@@ -460,7 +333,9 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         for name in sorted(COMMANDS):
-            print(name, "-", COMMANDS[name].__doc__ or "")
+            print(name, "-", COMMANDS[name].__doc__)
+        for name in sorted(GROUPS):
+            print(name, "- runs", ", ".join(GROUPS[name]))
         return 0
     if args.command == "inspect":
         print(_inspect(args))
@@ -476,11 +351,11 @@ def main(argv=None) -> int:
 
     want_metrics = args.metrics or bool(args.metrics_out)
     want_flightrec = args.flightrec or bool(args.flightrec_dump)
-    # The engine hook serves --trace/--metrics/--profile; the black box
+    # The engine hook serves --trace/--metrics; the black box
     # deliberately flies without one (its zero-overhead contract).
-    want_engine = bool(args.trace) or want_metrics or args.profile
+    want_engine = bool(args.trace) or want_metrics
     want_obs = want_engine or want_flightrec
-    names = sorted(COMMANDS) if args.command == "all" else [args.command]
+    names = GROUPS.get(args.command, [args.command])
 
     # Fail fast on unwritable export paths, not after the whole run.
     for path in (args.trace, args.metrics_out):
@@ -494,7 +369,6 @@ def main(argv=None) -> int:
         trace=bool(args.trace) or want_flightrec,
         metrics=want_metrics or want_flightrec,
         engine=want_engine,
-        profile=args.profile,
         # Black-box-only runs fly with a bounded span tail; an explicit
         # --trace keeps its capless buffer.
         max_trace_events=None if args.trace else (512 if want_flightrec
@@ -535,8 +409,6 @@ def main(argv=None) -> int:
             if args.metrics:
                 print(f"== metrics ({len(snap)} series) ==")
                 print(text)
-        if args.profile and ctx.engine_obs is not None:
-            print(_render_profile(ctx.engine_obs))
         if args.flightrec_dump:
             path = _dump_flightrec(ctx, args.flightrec_dump, args.command,
                                    "manual.dump")

@@ -5,6 +5,8 @@
   §6, cluster nodes for §7).
 * :mod:`repro.bench.figures` — one generator per figure/table, each
   returning the same rows/series the paper reports.
+* :mod:`repro.bench.experiments` — the registry: each experiment's CLI
+  name, results stem, default count, run and render, declared once.
 * :mod:`repro.bench.report` — plain-text rendering for EXPERIMENTS.md.
 """
 

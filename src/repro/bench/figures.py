@@ -3,9 +3,10 @@
 Every function builds the paper's exact experimental configuration from
 scratch, runs it on the virtual clock, and returns the same rows/series
 the paper reports (plus the paper's own numbers for side-by-side
-comparison in EXPERIMENTS.md). Repetition counts are parameters —
-defaults are sized so the full harness finishes in minutes of wall time;
-the paper's counts (500 attachments, 10 runs) are equally valid inputs.
+comparison in EXPERIMENTS.md). Repetition counts are required
+parameters; :mod:`repro.bench.experiments` declares the one default each
+experiment runs with. The paper's counts (500 attachments, 10 runs) are
+equally valid inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.bench.configs import (
 )
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.rdma import RdmaBandwidthTest
-from repro.hw.costs import GB, KB, MB, PAGE_4K, gib_per_s
+from repro.hw.costs import GB, KB, MB, PAGE_4K, CostModel, gib_per_s
 from repro.sim.record import SeriesStats
 from repro.workloads.hpccg import HpccgProblem
 from repro.workloads.insitu import InSituConfig
@@ -82,7 +83,7 @@ class Fig5Result:
     }
 
 
-def fig5_throughput(reps: int = 20, sizes: Sequence[int] = SWEEP_SIZES) -> Fig5Result:
+def fig5_throughput(reps: int, sizes: Sequence[int] = SWEEP_SIZES) -> Fig5Result:
     """Fig. 5: cross-enclave attach throughput vs RDMA verbs over IB.
 
     One Kitten co-kernel exports regions of each size; a native Linux
@@ -130,7 +131,7 @@ class Fig6Result:
     )
 
 
-def fig6_scalability(reps: int = 5,
+def fig6_scalability(reps: int,
                      enclave_counts: Sequence[int] = (1, 2, 4, 8),
                      sizes: Sequence[int] = SWEEP_SIZES,
                      ipi_target_policy: str = "core0") -> Fig6Result:
@@ -187,7 +188,7 @@ class Table2Result:
     }
 
 
-def table2_vm_throughput(reps: int = 5, size_bytes: int = 1 * GB,
+def table2_vm_throughput(reps: int, size_bytes: int = 1 * GB,
                          memmap_backend: str = "rbtree",
                          memmap_coalesce: bool = False) -> Table2Result:
     """Table 2: 1 GB attach throughput across the VM boundary.
@@ -291,6 +292,7 @@ class Fig7Result:
     baseline_us: float
     smi_us: float
     attach_detour_us: Dict[str, float]  # per attachment size
+    duration_s: int
     paper_note = (
         "baseline ≈12 µs frequent noise, ≈100 µs periodic SMIs; 4 KB "
         "attachments vanish into the baseline, 2 MB land below the SMI "
@@ -298,7 +300,7 @@ class Fig7Result:
     )
 
 
-def fig7_noise(duration_s: int = 10,
+def fig7_noise(duration_s: int,
                attach_sizes: Sequence[int] = (4 * KB, 2 * MB, 1 * GB)) -> Fig7Result:
     """Fig. 7: Kitten noise profile while serving XEMEM attachments.
 
@@ -356,6 +358,7 @@ def fig7_noise(duration_s: int = 10,
         baseline_us=costs.kitten_baseline_detour_ns / 1e3,
         smi_us=costs.smi_detour_ns / 1e3,
         attach_detour_us=per_size,
+        duration_s=duration_s,
     )
 
 
@@ -399,7 +402,7 @@ class Fig8Result:
         raise KeyError((config, execution, attach))
 
 
-def fig8_single_node(runs: int = 5,
+def fig8_single_node(runs: int,
                      configs: Sequence[str] = INSITU_CONFIG_NAMES,
                      executions: Sequence[str] = ("sync", "async"),
                      attaches: Sequence[str] = ("one_time", "recurring"),
@@ -465,7 +468,7 @@ class Fig9Result:
         )
 
 
-def fig9_multi_node(runs: int = 3,
+def fig9_multi_node(runs: int,
                     node_counts: Sequence[int] = (1, 2, 4, 8),
                     modes: Sequence[str] = ("linux_only", "multi_enclave"),
                     attaches: Sequence[str] = ("one_time", "recurring"),
@@ -495,3 +498,59 @@ def fig9_multi_node(runs: int = 3,
                 points.append(Fig9Point(mode, attach, nodes,
                                         stats.mean, stats.stdev, samples))
     return Fig9Result(points)
+
+
+# ------------------------------------------------------------ Ablations D and E
+
+
+def measure_attach_gibs(costs: CostModel, reps: int,
+                        size_bytes: int = 256 * MB) -> float:
+    """Fig. 5's attach throughput for one region size under ``costs``."""
+    rig = build_cokernel_system(
+        num_cokernels=1, cokernel_mem=512 * MB, costs=costs
+    )
+    runner = _attach_loop(rig, rig.cokernels[0], rig.linux.kernel, 2,
+                          size_bytes, reps, read_after=False)
+    durations = rig.engine.run_process(runner())
+    return gib_per_s(size_bytes, sum(durations) / len(durations))
+
+
+def sensitivity_sweep(reps: int):
+    """Ablation D: Fig. 5 attach throughput with one pipeline constant
+    perturbed at a time. Returns ``(baseline CostModel, [(label, GiB/s)])``."""
+    base = CostModel()
+    variants = (
+        ("baseline", base),
+        ("walk x2", CostModel(walk_per_page_ns=2 * base.walk_per_page_ns)),
+        ("install x2", CostModel(map_install_per_page_ns=2 * base.map_install_per_page_ns)),
+        ("channel x2", CostModel(channel_per_pfn_ns=2 * base.channel_per_pfn_ns)),
+        ("fixed cost x100", CostModel(attach_fixed_ns=100 * base.attach_fixed_ns)),
+    )
+    return base, [(label, measure_attach_gibs(costs, reps))
+                  for label, costs in variants]
+
+
+def notify_grid(runs: int) -> List[tuple]:
+    """Ablation E: the Fig. 8 one-time in situ run under polled shared
+    variables vs kernel doorbells, ``runs`` seeds each. Rows are
+    ``(config, execution, mean poll s, mean notify s)``."""
+    rows = []
+    for config_name in ("linux_linux", "kitten_linux"):
+        for execution in ("sync", "async"):
+            cell = {}
+            for mode in ("poll", "notify"):
+                total = 0.0
+                for seed in range(runs):
+                    cfg = InSituConfig(
+                        execution=execution, attach="one_time",
+                        iterations=600, comm_interval=40, data_bytes=512 * MB,
+                        problem=HpccgProblem(100, 100, 100), signal_mode=mode,
+                    )
+                    rig = build_insitu_rig(config_name, cfg, seed=seed + 1)
+                    res = rig["workload"].run()
+                    if not res.data_marks_verified:
+                        raise AssertionError("shared-memory handshake corrupt")
+                    total += res.sim_time_s
+                cell[mode] = total / runs
+            rows.append((config_name, execution, cell["poll"], cell["notify"]))
+    return rows

@@ -62,7 +62,7 @@ class _TaintRule(ProjectRule):
 
 
 class WallclockTaintRule(_TaintRule):
-    """Call path reaches host wallclock outside the obs profiler."""
+    """Call path reaches a host-wallclock read."""
 
     code = "REP101"
     name = "wallclock-taint"

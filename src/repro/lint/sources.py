@@ -8,9 +8,10 @@ Keeping the tables here means the two layers can never disagree about
 what counts as a source.
 
 Each taint category also names its **sanctioned boundaries** — modules
-whose job is to absorb the nondeterminism (the opt-in wallclock
-profiler, the env-reading switchboards). Functions in a sanctioned
-module neither seed nor propagate that category's taint.
+whose job is to absorb the nondeterminism (the env-reading
+switchboards). Functions in a sanctioned module neither seed nor
+propagate that category's taint. Wallclock has none: host time is
+measured outside the package (``benchmarks/e2e``).
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ WALLCLOCK_CALLS = frozenset({
     "datetime.date.today",
 })
 
-#: Modules allowed to read host time: the opt-in wallclock profiler,
-#: whose output never enters traces or metrics.
-WALLCLOCK_BOUNDARY = ("repro/obs/engine_hooks.py",)
+#: Modules allowed to read host time: none. The one display-only read
+#: (the CLI's progress line) carries a reasoned suppression instead.
+WALLCLOCK_BOUNDARY = ()
 
 # ---------------------------------------------------------------------------
 # Randomness / OS entropy (REP002 direct / REP102 transitive)

@@ -136,7 +136,7 @@ def reset() -> None:
 
 @contextlib.contextmanager
 def observing(trace: bool = True, metrics: bool = True,
-              engine: bool = False, profile: bool = False,
+              engine: bool = False,
               max_trace_events: Optional[int] = None,
               timeseries: bool = False,
               window_ns: int = DEFAULT_WINDOW_NS,
@@ -169,7 +169,7 @@ def observing(trace: bool = True, metrics: bool = True,
                            max_windows=max_windows)
         if timeseries else None
     )
-    inner = EngineObserver(profile=profile) if (engine or profile) else None
+    inner = EngineObserver() if engine else None
     engine_obs = (
         TimeSeriesHook(recorder, inner=inner) if recorder is not None else inner
     )

@@ -273,15 +273,11 @@ class TimeSeriesHook:
         if self.inner is not None:
             self.inner.on_finish(engine, proc)
 
-    # -- EngineObserver surface pass-through (used by ctx.snapshot and
-    # the CLI's --profile rendering) ------------------------------------------
+    # -- EngineObserver surface pass-through (used by ctx.snapshot) ----------
 
     @property
     def events_executed(self) -> int:
         return self.inner.events_executed if self.inner is not None else 0
-
-    def hot_sites(self, top: int = 15):
-        return self.inner.hot_sites(top) if self.inner is not None else []
 
     def publish(self, metrics) -> None:
         if self.inner is not None:

@@ -34,8 +34,9 @@ def test_rep001_sleep_is_not_a_clock_read():
     check("import time\ntime.sleep(1)\n", [])
 
 
-def test_rep001_profiler_module_allowlisted():
-    check("import time\nt0 = time.perf_counter()\n", [],
+def test_rep001_flags_engine_hooks():
+    # No module is allowlisted: the old profiler's home is linted too.
+    check("import time\nt0 = time.perf_counter()\n", ["REP001"],
           path="src/repro/obs/engine_hooks.py")
 
 

@@ -76,63 +76,6 @@ def test_live_processes_visible_while_running():
     assert eng.live_processes == ()
 
 
-def test_profile_collects_hot_sites():
-    ob = EngineObserver(profile=True)
-    eng = Engine(obs=ob)
-
-    def proc():
-        yield eng.sleep(1)
-        yield eng.sleep(1)
-
-    eng.spawn(proc())
-    eng.run()
-    sites = ob.hot_sites()
-    assert sites, "profile mode should record callback sites"
-    site, calls, secs, _eps = sites[0]
-    assert ":" in site
-    assert calls >= 1
-    assert secs >= 0.0
-
-
-def test_callback_site_unwraps_partial_and_bound_methods():
-    import functools
-
-    from repro.obs.engine_hooks import _callback_site
-    from repro.sim.process import Process
-
-    eng = Engine()
-
-    def idle():
-        yield eng.sleep(1)
-
-    proc = eng.spawn(idle())
-    step = "repro.sim.process:Process._step"
-    assert _callback_site(Process._step) == step
-    assert _callback_site(proc._step) == step
-    assert _callback_site(functools.partial(proc._step, 0)) == step
-    assert _callback_site(
-        functools.partial(functools.partial(proc._step, 0), None)) == step
-
-
-def test_profile_labels_every_resumption_as_process_step():
-    """Timeouts resume through a bound method, other awaitables through a
-    ``partial``: both are charged to ``Process._step``."""
-    ob = EngineObserver(profile=True)
-    eng = Engine(obs=ob)
-    gate = eng.event("gate")
-
-    def waiter():
-        yield eng.sleep(1)
-        yield gate
-
-    eng.spawn(waiter())
-    eng.call_at(5, gate.trigger)
-    eng.run()
-    sites = {site: calls for site, calls, _s, _eps in ob.hot_sites()}
-    assert sites["repro.sim.process:Process._step"] == 3
-    assert not [s for s in sites if "<lambda>" in s or "partial" in s]
-
-
 def test_publish_folds_stats_into_registry():
     ob = EngineObserver(sample_every=1)
     eng = Engine(obs=ob)

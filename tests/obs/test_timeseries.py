@@ -210,9 +210,6 @@ def test_hook_passes_events_through_an_inner_observer():
             self.calls.append(callback)
             callback(*args)
 
-        def hot_sites(self, top=15):
-            return ["site"]
-
     reg, c, g, h = _registry()
     rec = TimeSeriesRecorder(reg, window_ns=100)
     inner = Inner()
@@ -222,4 +219,3 @@ def test_hook_passes_events_through_an_inner_observer():
     assert c.value == 1 and inner.calls
     # the EngineObserver surface proxies through to the inner observer
     assert hook.events_executed == 41
-    assert hook.hot_sites() == ["site"]
