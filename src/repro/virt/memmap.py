@@ -19,7 +19,10 @@ Correctness and cost are separated deliberately:
   hand-waving: rebalancing work is whatever the tree really did. A
   mapping's entries go to the backend together, in ascending GPA order,
   and are charged as one visit/level delta: the charge is linear in the
-  count, so the sum is the same as entry by entry.
+  count, so the sum is the same as entry by entry. The RB backend
+  replays a recurring attach/detach cycle from the visits the tree
+  itself charged for it, and builds the tree whenever a replay cannot
+  stand in for it (see :class:`_RbBackend`).
 
 A last-entry cache (TLB-like) fronts :meth:`translate`; sequential
 translations through a large VM-RAM entry hit it almost always, which is
@@ -30,7 +33,7 @@ insertion (Fig. 4(a)) is not — inserts can't be cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -64,40 +67,135 @@ class TranslationError(KeyError):
     """GPA not covered by any memory-map entry."""
 
 
+#: A memoized cycle: the base tree's :meth:`RedBlackTree.shape` and the
+#: batch size.
+_CycleKey = Tuple[Tuple[int, ...], int]
+
+
 class _RbBackend:
-    """Cost mirror: one RB node per contiguous run."""
+    """Cost mirror: one RB node per contiguous run, charged as the real
+    tree's visit delta.
+
+    A guest attach inserts a batch of keys that ascend from above the
+    tree's maximum (the VMM hands out guest-physical space from a
+    monotone cursor), and its detach deletes exactly that batch again,
+    so in steady state every attach finds the same base tree. Such a
+    cycle's visits depend only on the base's shape and colours and on
+    the batch size, and the backend replays them instead of rebuilding
+    the same nodes:
+
+    * **Record.** A real ascending, above-max insert of ``n`` keys on a
+      base of shape ``S`` with at most ``n`` nodes is remembered; a real
+      delete of exactly that batch, as the very next op, that leaves
+      shape ``S`` again stores ``(S, n) -> (insert visits, delete
+      visits)``.
+    * **Hit.** A later such insert whose ``(S, n)`` is stored charges
+      the stored insert visits (adding them to ``tree.visits`` too) and
+      holds the batch *pending*, unbuilt; a delete of exactly the
+      pending batch charges the stored delete visits and drops it.
+    * **Miss.** Any other op while a batch is pending — a lookup, an
+      insert, a delete of anything else — first builds the batch into
+      the tree and raises if that took other visits than were charged.
+
+    The fingerprint (:meth:`RedBlackTree.shape`), the max-key and the
+    order checks count no visits, and a batch smaller than the tree is
+    never fingerprinted, so checking never costs more than the batch.
+    """
 
     name = "rbtree"
 
     def __init__(self, costs: CostModel):
         self.tree = RedBlackTree()
         self.costs = costs
+        #: (base shape, batch size) -> (insert visits, delete visits).
+        self._memo: Dict[_CycleKey, Tuple[int, int]] = {}
+        #: The replayed, unbuilt batch: (starts, hpas, its memo value).
+        self._pending: Optional[Tuple[np.ndarray, np.ndarray, Tuple[int, int]]] = None
+        #: The last op's real batch insert, while its delete may complete a
+        #: record: (memo key, starts, insert visits).
+        self._recording: Optional[Tuple[_CycleKey, np.ndarray, int]] = None
 
-    def _delta(self, before: int) -> int:
-        return (self.tree.visits - before) * self.costs.rb_node_visit_ns
+    def _ns(self, visits: int) -> int:
+        return visits * self.costs.rb_node_visit_ns
+
+    def _appends(self, starts: np.ndarray) -> bool:
+        """Whether ``starts`` ascend strictly from above the tree's max."""
+        top = self.tree.peek_max_key()
+        return ((top is None or int(starts[0]) > top)
+                and bool((starts[1:] > starts[:-1]).all()))
+
+    def _build(self, starts: np.ndarray, hpas: np.ndarray) -> int:
+        """Insert a batch into the tree; returns the visits it took."""
+        tree = self.tree
+        before = tree.visits
+        insert = tree.insert
+        for start, hpa in zip(starts.tolist(), hpas.tolist()):
+            insert(start, hpa)
+        return tree.visits - before
+
+    def _materialize(self) -> None:
+        """Build the pending batch into the tree; its visits were charged."""
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        starts, hpas, (charged, _deleted) = pending
+        built = self._build(starts, hpas)
+        self.tree.visits -= built
+        if built != charged:
+            raise AssertionError(
+                f"replayed batch of {len(starts)} keys was charged {charged} "
+                f"visits but building it took {built}")
 
     def insert_runs(self, starts: np.ndarray, ends: np.ndarray,
                     hpas: np.ndarray) -> int:
-        before = self.tree.visits
-        insert = self.tree.insert
-        for start, hpa in zip(starts.tolist(), hpas.tolist()):
-            insert(start, hpa)
-        return self._delta(before)
+        self._materialize()
+        self._recording = None
+        tree = self.tree
+        n = len(starts)
+        key = None
+        if n and n >= tree.size and self._appends(starts):
+            key = (tree.shape(), n)
+            hit = self._memo.get(key)
+            if hit is not None:
+                tree.visits += hit[0]
+                self._pending = (starts.copy(), hpas.copy(), hit)
+                return self._ns(hit[0])
+        visits = self._build(starts, hpas)
+        if key is not None:
+            self._recording = (key, starts.copy(), visits)
+        return self._ns(visits)
 
     def delete_runs(self, starts: np.ndarray, ends: np.ndarray) -> int:
-        before = self.tree.visits
-        delete = self.tree.delete
+        tree = self.tree
+        pending = self._pending
+        if pending is not None and np.array_equal(starts, pending[0]):
+            self._pending = None
+            deleted = pending[2][1]
+            tree.visits += deleted
+            return self._ns(deleted)
+        self._materialize()
+        recording, self._recording = self._recording, None
+        before = tree.visits
+        delete = tree.delete
         for start in starts.tolist():
             delete(start)
-        return self._delta(before)
+        visits = tree.visits - before
+        if recording is not None:
+            key, batch, inserted = recording
+            if np.array_equal(starts, batch) and tree.shape() == key[0]:
+                self._memo[key] = (inserted, visits)
+        return self._ns(visits)
 
     def lookup(self, gpa_pfn: int) -> int:
+        self._materialize()
+        self._recording = None
         before = self.tree.visits
         self.tree.floor(gpa_pfn)
-        return self._delta(before)
+        return self._ns(self.tree.visits - before)
 
     def __len__(self) -> int:
-        return len(self.tree)
+        pending = self._pending
+        return len(self.tree) + (0 if pending is None else len(pending[0]))
 
 
 class _RadixBackend:

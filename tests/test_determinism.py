@@ -47,13 +47,18 @@ print("insitu", f"{res.sim_time_s:.9f}", res.analytics_faults)
 """
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def run_with_hashseed(seed: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED=seed)
+    # the checkout's src/ first, so the snippet imports this tree's
+    # repro whether or not the package is installed
+    path = [os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
     out = subprocess.run(
         [sys.executable, "-c", SNIPPET],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        timeout=240,
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=240,
     )
     assert out.returncode == 0, out.stderr
     return out.stdout

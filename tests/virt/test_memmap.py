@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.costs import CostModel
-from repro.virt.memmap import MapEntry, TranslationError, VmmMemoryMap
+from repro.virt.memmap import MapEntry, TranslationError, VmmMemoryMap, _RbBackend
+from tests.virt.reference_rbtree import RedBlackTree as ReferenceRedBlackTree
 
 
 @pytest.fixture(params=["rbtree", "radix"])
@@ -293,3 +294,138 @@ def test_property_matches_page_dict_model(backend, ops):
             want = np.array([model[g] for g in gpas.tolist()], dtype=np.int64)
             assert (mm.translate_array(gpas) == want).all()
             assert [mm.translate(int(g)) for g in gpas[::5]] == want[::5].tolist()
+
+
+class _ReplayReference:
+    """``_RbBackend`` without the memo, on the frozen reference tree:
+    every batch is built and charged key by key."""
+
+    def __init__(self, costs):
+        self.tree = ReferenceRedBlackTree()
+        self.ns = costs.rb_node_visit_ns
+
+    def _charged(self, op, keys):
+        before = self.tree.visits
+        for key in keys:
+            op(key)
+        return (self.tree.visits - before) * self.ns
+
+    def insert_runs(self, starts, ends, hpas):
+        hpa = dict(zip(starts.tolist(), hpas.tolist()))
+        return self._charged(lambda k: self.tree.insert(k, hpa[k]), starts.tolist())
+
+    def delete_runs(self, starts, ends):
+        return self._charged(self.tree.delete, starts.tolist())
+
+    def lookup(self, gpa_pfn):
+        return self._charged(self.tree.floor, [gpa_pfn])
+
+    def __len__(self):
+        return len(self.tree)
+
+
+_BATCH_OPS = ("cycle", "append", "delete_batch", "delete_some", "scatter",
+              "lookup")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=30, max_size=150))
+# an append, then two six-key cycles: the first leaves the base in its
+# old shape but other colours, so a colour-blind record would hit
+@example([1, 2, 1, 2, 0, 5, 2, 2, 0, 5, 2, 1])
+def test_rb_backend_memo_matches_reference_replay(choices):
+    """The memoized backend against a memo-free replay on the frozen
+    reference tree, with the same ops: recurring above-max batches and
+    their exact deletes (so records complete and replays hit), partial
+    and out-of-order deletes, non-ascending batches, lookups and inserts
+    while a batch is pending. Equal ns and sizes after every op, equal
+    trees after every lookup (which builds any pending batch)."""
+    stream = iter(choices)
+
+    def integer(lo, hi):
+        return lo + next(stream, 0) % (hi - lo + 1)
+
+    costs = CostModel()
+    memo, ref = _RbBackend(costs), _ReplayReference(costs)
+    present = set()
+    batches = []  # inserted batches still fully present, newest last
+
+    def apply(op, *args):
+        arrays = [np.array(a, dtype=np.int64) for a in args]
+        assert getattr(memo, op)(*arrays) == getattr(ref, op)(*arrays), op
+        assert len(memo) == len(ref)
+
+    def insert(keys):
+        apply("insert_runs", keys, [k + 1 for k in keys], [7 * k for k in keys])
+        present.update(keys)
+        batches.append(keys)
+
+    def delete(keys):
+        apply("delete_runs", keys, [k + 1 for k in keys])
+        present.difference_update(keys)
+        batches[:] = [b for b in batches if present.issuperset(b)]
+
+    for _ in range(len(choices) // 3 + 1):
+        op = _BATCH_OPS[integer(0, len(_BATCH_OPS) - 1)]
+        if op in ("cycle", "append"):
+            n, gap = integer(1, 6), integer(1, 3)
+            first = max(present, default=0) + integer(1, 5)
+            keys = list(range(first, first + gap * n, gap))
+            insert(keys)
+            if op == "cycle":
+                delete(keys)
+        elif op == "delete_batch" and batches:
+            delete(batches[-1])
+        elif op == "delete_some" and present:
+            pool = sorted(present)
+            keys = [pool.pop(integer(0, len(pool) - 1))
+                    for _ in range(min(len(pool), integer(1, 4)))]
+            delete(keys)
+        elif op == "scatter":
+            keys = list(dict.fromkeys(integer(1, 60) for _ in range(integer(1, 5))))
+            keys = [k for k in keys if k not in present]
+            if keys:
+                insert(keys)
+        elif op == "lookup":
+            gpa = integer(0, 70)
+            assert memo.lookup(gpa) == ref.lookup(gpa)
+            assert memo.tree.keys() == ref.tree.keys()
+            memo.tree.validate()
+    memo.lookup(0)
+    ref.lookup(0)
+    assert memo.tree.visits == ref.tree.visits
+    assert memo.tree.keys() == ref.tree.keys() == sorted(present)
+    memo.tree.validate()
+
+
+def test_rb_backend_replays_the_steady_attach_cycle():
+    """A VM-shaped map (17 coalesced RAM blocks) attaching and detaching
+    1,024 scattered pages again and again: the first cycle reshapes the
+    base, the second records, the third is replayed without building its
+    batch, and a lookup mid-cycle builds it. Every ns is the literal the
+    real tree charged."""
+    mm = VmmMemoryMap(CostModel())
+    for k in range(17):
+        mm.insert_mapping(512 * k, np.arange(512) + 600 * k, coalesce=True)
+    tree = mm.backend.tree
+    gpa = 17 * 512
+    cycles = []
+    for cycle in range(3):
+        hpas = np.arange(50_000, 52_048, 2) + 4096 * cycle
+        inserted = mm.insert_mapping(gpa, hpas)
+        cycles.append((inserted, len(tree), mm.backend_size,
+                       mm.remove_mapping(gpa, 1024), len(tree)))
+        gpa += 1024
+    assert cycles == [(303045, 1041, 1041, 165885, 17),
+                      (302850, 1041, 1041, 165885, 17),
+                      (302850, 17, 1041, 165885, 17)]
+    hpas = np.arange(50_000, 52_048, 2)
+    assert mm.insert_mapping(gpa, hpas) == 302850
+    assert (len(tree), mm.backend_size) == (17, 1041)
+    before = mm.total_work_ns
+    assert mm.translate(gpa + 5) == hpas[5]
+    assert mm.total_work_ns - before == 135
+    assert len(tree) == mm.backend_size == 1041
+    tree.validate()
+    assert mm.remove_mapping(gpa, 1024) == 165885
+    assert len(tree) == 17

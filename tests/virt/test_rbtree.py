@@ -58,6 +58,36 @@ def test_min_key():
     assert t.min_key() == 3
 
 
+def test_host_side_checks_count_no_visits():
+    t = RedBlackTree()
+    assert (t.peek_max_key(), t.shape()) == (None, ())
+    for k in [5, 1, 9, 3]:
+        t.insert(k, None)
+    t.delete(9)  # drops the spine cache, so the max is walked for
+    visits = t.visits
+    assert t.peek_max_key() == 5
+    # preorder: black 3 with two children, black leaves 1 and 5
+    assert t.shape() == (3, 0, 0)
+    assert t.visits == visits
+    t.insert(7, None)  # an append: the cached rightmost node is the max
+    visits = t.visits
+    assert t.peek_max_key() == 7
+    assert t.shape() == (3, 0, 1, 4)
+    assert t.visits == visits
+
+
+def test_shape_tells_colours_apart():
+    """Same keys and links, different colours: different fingerprints."""
+    a, b = RedBlackTree(), RedBlackTree()
+    for k in [1, 2, 3]:
+        a.insert(k, None)
+    for k in [1, 2, 3, 4]:
+        b.insert(k, None)
+    b.delete(4)
+    assert a.keys() == b.keys()
+    assert a.shape() == (3, 4, 4) and b.shape() == (3, 0, 0)
+
+
 def test_delete_returns_value_and_removes():
     t = RedBlackTree()
     for k in range(20):
