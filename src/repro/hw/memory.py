@@ -499,6 +499,22 @@ class MappedRegion:
             pos += take
         return out.tobytes()
 
+    def locate_word(self, offset: int):
+        """Where the 8-byte word at ``offset`` lives: ``(lookup, pfn, in_page)``.
+
+        ``lookup(pfn)`` returns the frame array backing the bytes at
+        ``[in_page, in_page + 8)``, or None while that frame was never
+        materialized (it reads as zeros). A poller locates its word once
+        and then loads it from whatever the frame holds at each check, so
+        it sees every store path, raw page views included. Returns None
+        when the word straddles a page boundary.
+        """
+        self._check(offset, 8)
+        page, in_page = divmod(offset, PAGE_4K)
+        if in_page + 8 > PAGE_4K:
+            return None
+        return self.mem._frames.get, int(self.pfns[page]), in_page
+
     def page_view(self, index: int) -> np.ndarray:
         """View of page ``index``; non-writeable for read-only mappings."""
         if not 0 <= index < self.npages:

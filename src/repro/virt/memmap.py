@@ -341,6 +341,7 @@ class VmmMemoryMap:
 
     def translate(self, gpa_pfn: int) -> int:
         """GPA→HPA for one page, through the last-entry cache."""
+        self.last_op_work_ns = 0
         cache = self._cache
         if cache is not None and cache.gpa_start_pfn <= gpa_pfn < cache.gpa_end_pfn:
             self.cache_hits += 1

@@ -34,7 +34,9 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.hw.costs import MB, PAGE_4K
+from repro.hw.memory import MappedRegion
 from repro.kernels.noise import splitmix64
+from repro.sim.engine import Awaitable
 from repro.workloads.compute import noise_aware_compute
 from repro.workloads.hpccg import HpccgProblem, HpccgSolver
 from repro.workloads.stream import StreamBenchmark
@@ -49,6 +51,8 @@ CTL_BYTES = 4096
 
 POLL_START_NS = 1_000
 POLL_CAP_NS = 1_000_000
+
+_U64 = struct.Struct("<Q")
 
 
 def write_u64(view, offset: int, value: int) -> None:
@@ -96,17 +100,85 @@ class SharedFlags:
         write_u64(self.view, CTL_DATA_SEGID, value)
 
 
+class _WordPoll(Awaitable):
+    """Awaitable: fires once a shared u64 reads at least ``target``.
+
+    The word is checked on a backoff schedule: the first check
+    ``POLL_START_NS`` after parking, each later one twice as far from
+    the last, capped at ``POLL_CAP_NS``. A check is a bare engine
+    callback, one ``call_at`` each, at the times and in the queue order
+    a ``sleep`` loop's timeouts would take, so same-ns ties with writers
+    and other pollers resolve exactly as they would for such a loop. The
+    waiter is resumed, synchronously from the check, only when the word
+    has reached the target; a write is seen at the first check at or
+    after it.
+
+    A word of a plain :class:`MappedRegion` that lies inside one page is
+    loaded straight from its frame (located once, at park time), so
+    stores through any mapping, ``fill`` or a raw page view all show.
+    Any other view, such as an attachment that checks it is still live,
+    and a word that straddles a page are loaded through :func:`read_u64`
+    at every check; a load that raises fails the waiter.
+    """
+
+    __slots__ = ("engine", "view", "offset", "target", "interval", "resume",
+                 "lookup", "pfn", "in_page")
+
+    def __init__(self, engine, view, offset: int, target: int):
+        self.engine = engine
+        self.view = view
+        self.offset = offset
+        self.target = target
+        self.interval = POLL_START_NS
+        #: The waiter's resume callback; None before parking, once fired,
+        #: and once the waiter left (a still-queued check is then stale).
+        self.resume = None
+        located = view.locate_word(offset) if type(view) is MappedRegion else None
+        self.lookup, self.pfn, self.in_page = located or (None, 0, 0)
+
+    def subscribe(self, callback) -> None:
+        self.resume = callback
+        self.engine.call_at(self.engine.now + self.interval, self._check)
+
+    def _check(self) -> None:
+        resume = self.resume
+        if resume is None:
+            return
+        if self.lookup is not None:
+            frame = self.lookup(self.pfn)
+            value = 0 if frame is None else _U64.unpack_from(frame, self.in_page)[0]
+        else:
+            try:
+                value = read_u64(self.view, self.offset)
+            except Exception as exc:  # noqa: BLE001  # repro: noqa[REP007] reason=the error is thrown into the waiter, where a load inside it would raise
+                self.resume = None
+                resume(None, exc)
+                return
+        if value >= self.target:
+            self.resume = None
+            resume(None, None)
+            return
+        self.interval = interval = min(self.interval * 2, POLL_CAP_NS)
+        engine = self.engine
+        engine.call_at(engine.now + interval, self._check)
+
+
 def poll_u64_at_least(engine, view, offset: int, target: int):
     """Generator: poll a shared word until it reaches ``target``.
 
-    Exponential backoff keeps the event count bounded; the paper's
-    workloads poll continuously, and at the capped 1 ms granularity the
-    detection-latency difference is invisible at the 150 s scale.
+    A word that already holds ``target`` yields nothing; otherwise the
+    caller parks on a :class:`_WordPoll`. Exponential backoff keeps the
+    event count bounded; the paper's workloads poll continuously, and at
+    the capped 1 ms granularity the detection-latency difference is
+    invisible at the 150 s scale.
     """
-    interval = POLL_START_NS
-    while read_u64(view, offset) < target:
-        yield engine.sleep(interval)
-        interval = min(interval * 2, POLL_CAP_NS)
+    if read_u64(view, offset) >= target:
+        return
+    poll = _WordPoll(engine, view, offset, target)
+    try:
+        yield poll
+    finally:
+        poll.resume = None  # interrupted while parked: the queued check is stale
 
 
 @dataclass
@@ -146,6 +218,12 @@ class InSituConfig:
             raise ValueError(f"bad attach model {self.attach!r}")
         if self.signal_mode not in ("poll", "notify"):
             raise ValueError(f"bad signal mode {self.signal_mode!r}")
+        if self.iterations < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
+        if self.comm_interval < 1:
+            raise ValueError(
+                f"comm_interval must be at least 1, got {self.comm_interval}"
+            )
         if self.iterations % self.comm_interval:
             raise ValueError("iterations must be a multiple of comm_interval")
 

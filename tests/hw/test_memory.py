@@ -358,3 +358,23 @@ def test_read_sees_later_write_through_another_region():
     assert region.read(PAGE_4K - 4, 8) == b"\x00\x00\xBB\xBB" + b"\xAA" * 4
     assert region.read(PAGE_4K + 5, 1) == b"\xAA"
 
+
+def test_locate_word_names_the_backing_frame_without_materializing_it():
+    mem, region = make_region(nframes=2)
+    lookup, pfn, in_page = region.locate_word(PAGE_4K + 16)
+    assert (pfn, in_page) == (int(region.pfns[1]), 16)
+    assert lookup(pfn) is None and mem.resident_frames == 0  # reads as zeros
+    region.write(PAGE_4K + 16, (0xC0FFEE01).to_bytes(8, "little"))
+    frame = lookup(pfn)
+    assert frame is mem.frame_view(pfn)
+    assert frame[in_page:in_page + 8].tobytes() == (0xC0FFEE01).to_bytes(8, "little")
+    assert region.locate_word(PAGE_4K - 8) == (lookup, int(region.pfns[0]), PAGE_4K - 8)
+
+
+def test_locate_word_straddling_a_page_or_out_of_bounds():
+    _mem, region = make_region(nframes=2)
+    assert region.locate_word(PAGE_4K - 4) is None
+    assert region.locate_word(2 * PAGE_4K - 8)[1:] == (int(region.pfns[1]), PAGE_4K - 8)
+    for offset in (-1, 2 * PAGE_4K - 4, 2 * PAGE_4K):
+        with pytest.raises(ValueError):
+            region.locate_word(offset)

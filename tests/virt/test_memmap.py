@@ -425,6 +425,8 @@ def test_rb_backend_replays_the_steady_attach_cycle():
     before = mm.total_work_ns
     assert mm.translate(gpa + 5) == hpas[5]
     assert mm.total_work_ns - before == 135
+    # a scalar translate reports its own charge, not the insert's plus it
+    assert mm.last_op_work_ns == 135
     assert len(tree) == mm.backend_size == 1041
     tree.validate()
     assert mm.remove_mapping(gpa, 1024) == 165885

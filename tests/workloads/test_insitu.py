@@ -30,6 +30,17 @@ def test_config_validation():
     assert InSituConfig(iterations=600, comm_interval=40).comm_points == 15
 
 
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 0),
+    ("iterations", -40),     # a multiple of comm_interval: no points at all
+    ("comm_interval", 0),    # used to raise ZeroDivisionError
+    ("comm_interval", -40),  # used to give comm_points == -15: a hung run
+])
+def test_config_rejects_non_positive_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        InSituConfig(**{field: value})
+
+
 def test_unknown_rig_rejected():
     with pytest.raises(ValueError):
         build_insitu_rig("bare_metal", small_config())
