@@ -9,66 +9,16 @@ then with only the flight-recorder black box armed — a ring-capped span
 tail + metrics, no engine hook — which must stay under 5%, or the
 "always-on black box" premise of ``repro.obs.flightrec`` is broken.
 
-Emits ``benchmarks/results/BENCH_obs_overhead.json`` for the
-``make bench-compare`` / CI regression gate.
+Emits ``benchmarks/results/BENCH_obs_overhead.json`` and checks it
+against ``benchmarks/baselines/BENCH_obs_overhead.json``. The rig is
+built in ``fast`` fidelity, the default mode.
 """
 
 import json
 import pathlib
-import time
 
-from repro import obs
-from repro.bench.configs import build_cokernel_system
+from benchmarks.conftest import check_baseline, fig5_scale_cycle_seconds
 from repro.hw.costs import GB, PAGE_4K
-from repro.xemem import XpmemApi
-
-
-def _fig5_scale_cycle_seconds(mode: str, cycles: int, touches: int,
-                              npages: int) -> float:
-    """Wall time for the Fig. 5 shape (one standing 1 GiB export,
-    repeated attach/touch/detach) in one of three modes: ``"dark"``
-    (no observability at all), ``"full"`` (tracing + metrics + tumbling
-    time-series windows — the engine-hook pipeline), or ``"flightrec"``
-    (the black box: ring-capped span tail + metrics + armed
-    :class:`~repro.obs.flightrec.FlightRecorder`, no engine hook)."""
-
-    def measure() -> float:
-        rig = build_cokernel_system(num_cokernels=1)
-        eng = rig.engine
-        kitten = rig.cokernels[0].kernel
-        kitten.heap_pages = npages + 16
-        kp = kitten.create_process("exp")
-        lp = rig.linux.kernel.create_process("att", core_id=2)
-        heap = kitten.heap_region(kp)
-        api_k, api_l = XpmemApi(kp), XpmemApi(lp)
-
-        def setup():
-            segid = yield from api_k.xpmem_make(heap.start, npages * PAGE_4K)
-            apid = yield from api_l.xpmem_get(segid)
-            return apid
-
-        apid = eng.run_process(setup())
-        t0 = time.perf_counter()
-        for _ in range(cycles):
-            def run():
-                att = yield from api_l.xpmem_attach(apid)
-                for _ in range(touches):
-                    yield from rig.linux.kernel.touch_pages(
-                        lp, att.vaddr, npages, write=True
-                    )
-                yield from api_l.xpmem_detach(att)
-
-            eng.run_process(run())
-        return time.perf_counter() - t0
-
-    if mode == "full":
-        with obs.observing(trace=True, metrics=True, timeseries=True):
-            return measure()
-    if mode == "flightrec":
-        with obs.observing(trace=True, metrics=True, max_trace_events=256,
-                           flightrec=True):
-            return measure()
-    return measure()
 
 
 def test_obs_overhead_under_25pct_at_fig5_scale():
@@ -76,24 +26,24 @@ def test_obs_overhead_under_25pct_at_fig5_scale():
     cycles, touches = 3, 8
     # one unmeasured warmup, then best-of-3 per mode to shave scheduler
     # noise — the flightrec gate is tight (5%), so noise matters
-    _fig5_scale_cycle_seconds("dark", cycles, touches, npages)
+    fig5_scale_cycle_seconds("fast", "dark", cycles, touches, npages)
     dark = min(
-        _fig5_scale_cycle_seconds("dark", cycles, touches, npages)
+        fig5_scale_cycle_seconds("fast", "dark", cycles, touches, npages)
         for _ in range(3)
     )
     observed = min(
-        _fig5_scale_cycle_seconds("full", cycles, touches, npages)
+        fig5_scale_cycle_seconds("fast", "full", cycles, touches, npages)
         for _ in range(3)
     )
     flightrec = min(
-        _fig5_scale_cycle_seconds("flightrec", cycles, touches, npages)
+        fig5_scale_cycle_seconds("fast", "flightrec", cycles, touches, npages)
         for _ in range(3)
     )
     overhead_pct = (observed / dark - 1.0) * 100.0
     flightrec_pct = (flightrec / dark - 1.0) * 100.0
     results = pathlib.Path(__file__).parent / "results"
     results.mkdir(exist_ok=True)
-    (results / "BENCH_obs_overhead.json").write_text(json.dumps({
+    record = {
         "benchmark": "fig5_scale_obs_overhead",
         "attach_bytes": npages * PAGE_4K,
         "npages": npages,
@@ -102,7 +52,7 @@ def test_obs_overhead_under_25pct_at_fig5_scale():
         "dark_seconds": round(dark, 6),
         "observed_seconds": round(observed, 6),
         "flightrec_seconds": round(flightrec, 6),
-        # The baseline gate compares the ratios, not the absolute
+        # The baseline check compares the ratios, not the absolute
         # seconds: wall-clock varies run-to-run and machine-to-machine,
         # but the observed/dark ratio is measured within one run and is
         # stable.
@@ -112,7 +62,9 @@ def test_obs_overhead_under_25pct_at_fig5_scale():
         "flightrec_overhead_ratio": round(flightrec / dark, 4),
         "flightrec_overhead_pct": round(flightrec_pct, 2),
         "max_flightrec_overhead_pct": 5.0,
-    }, indent=2) + "\n")
+    }
+    (results / "BENCH_obs_overhead.json").write_text(
+        json.dumps(record, indent=2) + "\n")
     assert overhead_pct < 25.0, (
         f"tracing+metrics cost {overhead_pct:.1f}% wall clock "
         f"(dark={dark:.3f}s, observed={observed:.3f}s)"
@@ -122,3 +74,4 @@ def test_obs_overhead_under_25pct_at_fig5_scale():
         f"(dark={dark:.3f}s, flightrec={flightrec:.3f}s) — the black box "
         "must stay near-free while idle"
     )
+    check_baseline("BENCH_obs_overhead", record)

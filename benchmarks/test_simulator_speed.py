@@ -12,8 +12,8 @@ import pathlib
 import time
 
 import numpy as np
-import pytest
 
+from benchmarks.conftest import check_baseline, fig5_scale_cycle_seconds
 from repro.bench.configs import build_cokernel_system
 from repro.hw.costs import CostModel, GB, MB, PAGE_4K
 from repro.kernels.pagetable import (
@@ -31,9 +31,8 @@ from repro.xemem import XpmemApi
 def _merge_results(update: dict) -> None:
     """Merge ``update`` into the shared ``results/BENCH_speed.json``.
 
-    Both speed gates land in one file (the bench comparator fails on
-    missing baseline keys), so each test merge-writes its own keys
-    instead of clobbering the other's.
+    Both speed gates land in one file, so each test merge-writes its own
+    keys instead of clobbering the other's.
     """
     results = pathlib.Path(__file__).parent / "results"
     results.mkdir(exist_ok=True)
@@ -86,44 +85,6 @@ def test_speed_native_attach_detach_256mb(benchmark):
     benchmark(cycle)
 
 
-def _fig5_scale_cycle_seconds(mode: str, cycles: int, touches: int,
-                              npages: int) -> float:
-    """Wall time for ``cycles`` attach/touch/detach rounds over a 1 GiB
-    export — the Fig. 5 shape (one standing export, repeated access
-    through the attached window) — with the whole rig built in fidelity
-    ``mode``.
-    """
-    with fidelity.configured(mode):
-        rig = build_cokernel_system(num_cokernels=1)
-        eng = rig.engine
-        kitten = rig.cokernels[0].kernel
-        kitten.heap_pages = npages + 16
-        kp = kitten.create_process("exp")
-        lp = rig.linux.kernel.create_process("att", core_id=2)
-        heap = kitten.heap_region(kp)
-        api_k, api_l = XpmemApi(kp), XpmemApi(lp)
-
-        def setup():
-            segid = yield from api_k.xpmem_make(heap.start, npages * PAGE_4K)
-            apid = yield from api_l.xpmem_get(segid)
-            return apid
-
-        apid = eng.run_process(setup())
-        t0 = time.perf_counter()
-        for _ in range(cycles):
-            def run():
-                att = yield from api_l.xpmem_attach(apid)
-                for _ in range(touches):
-                    yield from rig.linux.kernel.touch_pages(
-                        lp, att.vaddr, npages, write=True
-                    )
-                yield from api_l.xpmem_detach(att)
-
-            eng.run_process(run())
-        elapsed = time.perf_counter() - t0
-    return elapsed
-
-
 def test_speed_fidelity_1gib_attach_speedup():
     """Fast fidelity must be worth its complexity: >=10x wall-clock over
     the detailed reference (radix store, uncached walks, per-round IPIs,
@@ -134,15 +95,15 @@ def test_speed_fidelity_1gib_attach_speedup():
     cycles, touches = 3, 8
     # best-of-2 per mode to shave scheduler noise
     slow = min(
-        _fig5_scale_cycle_seconds("detailed", cycles, touches, npages)
+        fig5_scale_cycle_seconds("detailed", "dark", cycles, touches, npages)
         for _ in range(2)
     )
     fast = min(
-        _fig5_scale_cycle_seconds("fast", cycles, touches, npages)
+        fig5_scale_cycle_seconds("fast", "dark", cycles, touches, npages)
         for _ in range(2)
     )
     speedup = slow / fast
-    _merge_results({
+    results = {
         "benchmark": "fig5_scale_attach_touch_detach",
         "attach_bytes": npages * PAGE_4K,
         "npages": npages,
@@ -152,11 +113,15 @@ def test_speed_fidelity_1gib_attach_speedup():
         "fastpath_seconds": round(fast, 6),
         "speedup": round(speedup, 3),
         "required_speedup": 10.0,
-    })
+    }
+    _merge_results(results)
     assert speedup >= 10.0, (
         f"fast fidelity only {speedup:.2f}x faster (detailed={slow:.3f}s, "
         f"fast={fast:.3f}s)"
     )
+    # the columnar test owns the baseline's columnar_* keys
+    check_baseline("BENCH_speed", results,
+                   lambda key: not key.startswith("columnar_"))
 
 
 def _columnar_pipeline_seconds(fast_mode: bool, npages: int,
@@ -211,7 +176,7 @@ def test_speed_columnar_16gib_pipeline_speedup():
         _columnar_pipeline_seconds(True, npages, rounds) for _ in range(2)
     )
     speedup = detailed / fast
-    _merge_results({
+    results = {
         "columnar_benchmark": "columnar_16gib_recurring_attach",
         "columnar_attach_bytes": npages * PAGE_4K,
         "columnar_npages": npages,
@@ -220,25 +185,27 @@ def test_speed_columnar_16gib_pipeline_speedup():
         "columnar_fast_seconds": round(fast, 6),
         "columnar_speedup": round(speedup, 3),
         "columnar_required_speedup": 10.0,
-    })
+    }
+    _merge_results(results)
     assert speedup >= 10.0, (
         f"columnar store only {speedup:.2f}x faster "
         f"(detailed={detailed:.3f}s, fast={fast:.3f}s)"
     )
+    check_baseline("BENCH_speed", results,
+                   lambda key: key.startswith("columnar_"))
 
 
 def test_speed_trace_capture_sibling():
     """Emit ``results/BENCH_speed.trace.json`` — the deterministic trace
     capture that rides next to ``BENCH_speed.json``.
 
-    The bench gate (``repro.obs.bench``) resolves the sibling convention
-    ``BENCH_x.json`` → ``BENCH_x.trace.json``: when the speed gate fails,
-    it feeds the committed baseline capture and this fresh one through
-    ``repro.obs.diff`` and prints *which subsystem and span names* moved.
-    The capture is the Fig. 5 shape at small scale (detailed
-    fidelity), recorded on the virtual clock only — byte-
-    identical across runs, so any diff against the baseline is a real
-    behavior change, not noise.
+    When a speed gate fails, ``repro perf-diff`` (the CI step after the
+    gates, or ``make perf-diff``) feeds the committed baseline capture
+    and this fresh one through ``repro.obs.diff`` and prints *which
+    subsystem and span names* moved. The capture is the Fig. 5 shape at
+    small scale (detailed fidelity), recorded on the virtual clock only
+    — byte-identical across runs, so any diff against the baseline is a
+    real behavior change, not noise.
     """
     from repro import obs
 

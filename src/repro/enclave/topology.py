@@ -55,13 +55,6 @@ class EnclaveSystem:
         """Number of Kitten co-kernel enclaves in the system."""
         return sum(1 for e in self.enclaves if e.kernel.kernel_type == "kitten")
 
-    def enclave_by_id(self, enclave_id: int) -> Enclave:
-        """Look an enclave up by its discovery-assigned ID."""
-        for enclave in self.enclaves:
-            if enclave.enclave_id == enclave_id:
-                return enclave
-        raise KeyError(f"no enclave with id {enclave_id}")
-
     def neighbors(self, enclave: Enclave) -> List[Enclave]:
         """Enclaves one channel hop away."""
         return [ch.other(enclave) for ch in enclave.channels]

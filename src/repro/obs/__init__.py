@@ -7,8 +7,8 @@ Three pieces, all default-off and recording nothing when disabled:
 * :mod:`repro.obs.metrics` — hierarchically named counters, gauges, and
   fixed-bucket histograms, snapshotable to a dict/JSON;
 * :mod:`repro.obs.engine_hooks` — an engine sink counting executed
-  events, sampling queue depth, accounting process virtual runtimes,
-  and (optionally) profiling simulator hot paths by host wallclock.
+  events, sampling queue depth, and accounting process virtual
+  runtimes.
 
 On top of those sit the analysis layers:
 
@@ -17,8 +17,6 @@ On top of those sit the analysis layers:
 * :mod:`repro.obs.audit` — the default-off runtime invariant auditor
   (``REPRO_AUDIT=1``), raising :class:`~repro.obs.audit.AuditViolation`
   with span context when simulated kernel state drifts;
-* :mod:`repro.obs.bench` — the ``BENCH_*.json`` regression comparator
-  behind ``make bench-compare`` and the CI perf gate;
 * :mod:`repro.obs.timeseries` — tumbling-window aggregation of the
   metrics registry on the virtual clock (``observing(timeseries=True)``);
 * :mod:`repro.obs.slo` — declarative latency/error objectives evaluated

@@ -1,7 +1,6 @@
 """Differential regression attribution between two trace captures.
 
-A failed bench gate says *that* a run regressed; this module says
-*where*. It loads two captures — Chrome/JSONL trace exports or incident
+A failed gate says *that* a run regressed; this module says *where*. It loads two captures — Chrome/JSONL trace exports or incident
 bundles (:mod:`repro.obs.flightrec`) — and attributes the end-to-end
 virtual-time delta per subsystem bucket and per span name, using the
 same exclusive-time machinery as :mod:`repro.obs.analysis`, so a
@@ -19,8 +18,8 @@ CLI::
 
     python -m repro perf-diff baseline.trace.json current.trace.json
 
-``repro.obs.bench`` invokes this automatically when a gate fails and a
-sibling ``<name>.trace.json`` capture exists next to each result file.
+CI runs it on the speed benchmark's committed and fresh
+``BENCH_speed.trace.json`` captures when a speed gate fails.
 """
 
 from __future__ import annotations

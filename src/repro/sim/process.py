@@ -133,10 +133,14 @@ class Process(Awaitable):
 
         Delivered at the current instant if the process is suspended; a
         no-op if it already finished. The awaitable the process was waiting
-        on is abandoned (its eventual firing is ignored).
+        on is abandoned: the epoch moves on here, so its firing is ignored
+        even when it was queued ahead of the interrupt at the same instant.
+        An interrupt before the first step fails the process with
+        :class:`Interrupt`.
         """
         if self.finished:
             return
+        self._epoch += 1
         self.engine.call_at(
             self.engine.now, self._step, self._epoch, None, Interrupt(cause)
         )

@@ -435,11 +435,11 @@ def run_soak(config: Optional[SoakConfig] = None, protected: bool = True,
 
 
 def bench_doc(protected: SoakReport, baseline: SoakReport) -> Dict[str, object]:
-    """The flat ``BENCH_serving.json`` dict for :mod:`repro.obs.bench`.
+    """The flat ``BENCH_serving.json`` dict.
 
-    Key naming is load-bearing: ``*_goodput_rate`` gates higher-is-
-    better, ``*_latency_ns`` lower-is-better; bare counts are identity
-    keys that must reproduce exactly."""
+    Every value is virtual-time, so the seed-0 artifact is gated by
+    equality: it must match ``benchmarks/baselines/BENCH_serving.json``
+    byte for byte."""
     cfg = protected.config
     doc: Dict[str, object] = {
         "benchmark": "soak-serving",

@@ -113,7 +113,3 @@ def make_response(request: KernelMessage, src: Optional[int],
     payload.update(fields)
     return KernelMessage(kind=kind, payload=payload, pfns=pfns)
 
-
-def is_response(msg: KernelMessage) -> bool:
-    """True when the message is a response (carries ``reply_to``)."""
-    return "reply_to" in msg.payload

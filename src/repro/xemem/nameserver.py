@@ -102,13 +102,6 @@ class NameServer:
             raise XememError(f"unknown segid {int(segid):#x}")
         return rec.owner_enclave_id
 
-    def npages_of(self, segid: int) -> int:
-        """The registered page span of ``segid``."""
-        rec = self.segids.get(int(segid))
-        if rec is None:
-            raise XememError(f"unknown segid {int(segid):#x}")
-        return rec.npages
-
     def remove_segid(self, segid: int, enclave_id: int) -> None:
         """Retire a segid; only its owner enclave may do so."""
         rec = self.segids.get(int(segid))

@@ -132,6 +132,52 @@ def test_stale_wakeup_after_interrupt_is_ignored():
     assert resumes == [10, 510]
 
 
+def test_interrupt_at_a_queued_wakeup_ns_is_delivered_once():
+    """The sleep's wakeup is queued ahead of the interrupt at the same ns;
+    the interrupt still lands and the wakeup is ignored."""
+    eng = Engine()
+    resumes = []
+
+    def sleeper():
+        try:
+            yield eng.sleep(10)
+            resumes.append(("woke", eng.now))
+        except Interrupt as intr:
+            resumes.append(("interrupted", intr.cause, eng.now))
+        yield eng.sleep(500)
+        resumes.append(("slept", eng.now))
+
+    def interrupter():
+        yield eng.sleep(10)  # runs first at t=10: spawned first
+        p.interrupt("stop")  # queued behind the sleeper's t=10 wakeup
+
+    eng.spawn(interrupter())
+    p = eng.spawn(sleeper())
+    eng.run()
+    assert p.finished and not p.failed
+    assert resumes == [("interrupted", "stop", 10), ("slept", 510)]
+
+
+def test_interrupt_before_first_step_fails_the_process():
+    eng = Engine()
+    ran = []
+
+    def proc():
+        ran.append(eng.now)
+        yield eng.sleep(1)
+
+    def parent():
+        child = eng.spawn(proc())
+        child.interrupt("early")
+        try:
+            yield child
+        except Interrupt as intr:
+            return ("failed", intr.cause, eng.now)
+
+    assert eng.run_process(parent()) == ("failed", "early", 0)
+    assert ran == []
+
+
 def test_interrupt_finished_process_is_noop():
     eng = Engine()
 

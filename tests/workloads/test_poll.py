@@ -338,11 +338,10 @@ def test_schedule_constants_match_the_frozen_loop():
 def test_interrupt_at_a_check_ns_is_delivered():
     """An interrupt issued at the ns of a check queued ahead of it.
 
-    The frozen loop's check resumed the generator first, so the
-    interrupt arrived for a finished suspension and was dropped; the
-    poller then polled on. A check that finds the word short resumes
-    nothing, so the interrupt is delivered. Nothing in the package
-    interrupts a poller, so no result depends on the difference."""
+    The frozen loop's 3 us wakeup is queued ahead of the interrupt, but
+    ``Process.interrupt`` moves the epoch on, so that wakeup is stale and
+    the interrupt is delivered; a check that finds the word short resumes
+    nothing. Both loops therefore stop at 3 us."""
     def run(poll):
         engine = RecordingEngine()
         _mem, views = make_views()
@@ -364,5 +363,5 @@ def test_interrupt_at_a_check_ns_is_delivered():
         engine.run(until_ns=HORIZON_NS)
         return log, proc.finished
 
-    assert run(reference_poll.poll_u64_at_least) == ([], False)
+    assert run(reference_poll.poll_u64_at_least) == ([("interrupted", 3_000)], True)
     assert run(insitu.poll_u64_at_least) == ([("interrupted", 3_000)], True)
