@@ -14,7 +14,7 @@ Usage::
                           [--bundle-dir DIR] [--overload SPEC]
     python -m repro soak [--seed N] [--rates R1,R2,...] [--plan SPEC]
                          [--overload SPEC] [--out PATH] [--bundle-dir DIR]
-    python -m repro inspect trace.json [--attribute]
+    python -m repro inspect trace.json
     python -m repro report trace.json [--json]
     python -m repro diagnose <bundle-dir> [--window-ns N] [--json]
     python -m repro perf-diff baseline current [--top N] [--json]
@@ -57,6 +57,7 @@ measured outside the package, by ``benchmarks/e2e/run.py --trace 1``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -84,78 +85,43 @@ def _explain(args) -> str:
     return "\n\n".join(parts)
 
 
-def _load_trace(path: str):
-    """Read a trace export via :mod:`repro.obs.analysis`, CLI-fatal on error."""
-    from repro.obs import analysis
-
-    try:
-        return analysis.load_trace(path)
-    except OSError as exc:
-        raise SystemExit(f"cannot read {path}: {exc.strerror}")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(
-            f"{path} is not a Chrome-trace or JSONL export ({exc})"
-        )
-
-
-def _dropped_warning(trace, path: str) -> str:
-    return (
-        f"!! WARNING: {trace.dropped} spans were DROPPED by the ring cap "
-        f"while recording {path} — every summary below is computed from a "
-        "TRUNCATED trace. Re-record with a larger span buffer "
-        "(obs.observing(..., max_trace_events=...)) for full coverage.\n\n"
-    )
+def _duration_stats(spans, key):
+    """``(key, (count, total ns, max ns))`` per span key, largest total
+    first."""
+    stats: dict = {}
+    for s in spans:
+        n, total, mx = stats.get(key(s), (0, 0, 0))
+        stats[key(s)] = (n + 1, total + s.duration_ns, max(mx, s.duration_ns))
+    return sorted(stats.items(), key=lambda kv: -kv[1][1])
 
 
 def _inspect(args) -> str:
     """Summarize a trace export: spans per name and per track."""
     if not args.target:
         raise SystemExit("usage: python -m repro inspect <trace.json>")
-    trace = _load_trace(args.target)
+    from repro.obs import analysis
+
+    trace = analysis.load_or_exit(analysis.load_trace, args.target)
     spans = trace.spans
     if not spans:
         return f"{args.target}: no spans recorded"
 
-    warning = _dropped_warning(trace, args.target) if trace.dropped else ""
-
-    by_name: dict = {}
-    for s in spans:
-        agg = by_name.setdefault(s.name, [0, 0, 0])
-        agg[0] += 1
-        dur = s.duration_ns
-        agg[1] += dur
-        agg[2] = max(agg[2], dur)
-    name_rows = [
-        (name, n, f"{total / 1e6:.3f}", f"{total / n / 1e3:.1f}", f"{mx / 1e3:.1f}")
-        for name, (n, total, mx) in sorted(
-            by_name.items(), key=lambda kv: -kv[1][1]
-        )
-    ]
+    by_name = _duration_stats(spans, lambda s: s.name)
     part1 = render_table(
         ["span", "count", "total ms", "mean us", "max us"],
-        name_rows,
+        [(name, n, f"{total / 1e6:.3f}", f"{total / n / 1e3:.1f}",
+          f"{mx / 1e3:.1f}") for name, (n, total, mx) in by_name],
         title=f"{args.target}: {len(spans)} spans, {len(by_name)} names",
     )
-
-    by_track: dict = {}
-    for s in spans:
-        agg = by_track.setdefault(s.track, [0, 0])
-        agg[0] += 1
-        agg[1] += s.duration_ns
-    track_rows = [
-        (track, n, f"{total / 1e6:.3f}")
-        for track, (n, total) in sorted(by_track.items(), key=lambda kv: -kv[1][1])
-    ]
-    part2 = render_table(["track", "spans", "total ms"], track_rows,
-                         title="per track (virtual time):")
-    out = warning + part1 + "\n\n" + part2
-    if getattr(args, "attribute", False):
-        from repro.obs import analysis
-
-        out += "\n\n" + analysis.render_report(
-            analysis.attribute(trace), source=args.target
-        )
-    return out
+    part2 = render_table(
+        ["track", "spans", "total ms"],
+        [(track, n, f"{total / 1e6:.3f}") for track, (n, total, _mx)
+         in _duration_stats(spans, lambda s: s.track)],
+        title="per track (virtual time):",
+    )
+    return "\n\n".join(
+        analysis.drop_warnings(trace.dropped, args.target) + [part1, part2]
+    )
 
 
 def _report(args):
@@ -169,40 +135,15 @@ def _report(args):
         raise SystemExit("usage: python -m repro report <trace.json> [--json]")
     from repro.obs import analysis
 
-    trace = _load_trace(args.target)
+    trace = analysis.load_or_exit(analysis.load_trace, args.target)
     code = 3 if trace.dropped else 0
+    attribution = analysis.attribute(trace)
     if getattr(args, "json", False):
-        doc = {
-            "source": args.target,
-            "spans": len(trace.spans),
-            "dropped": trace.dropped,
-            "truncated": bool(trace.dropped),
-        }
-        if trace.spans:
-            attribution = analysis.attribute(trace)
-            doc.update(
-                total_ns=attribution.total_ns,
-                attributed_ns=attribution.attributed_ns,
-                coverage=attribution.coverage,
-                by_subsystem=attribution.by_subsystem,
-                operations=[
-                    {
-                        "name": op.name,
-                        "count": op.count,
-                        "total_ns": op.total_ns,
-                        "by_subsystem": op.by_subsystem,
-                        "critical_path": [[n, ns] for n, ns in op.critical_path],
-                    }
-                    for op in attribution.operations
-                ],
-            )
-        return json.dumps(doc, sort_keys=True, indent=2), code
+        return json.dumps(attribution.to_doc(args.target), sort_keys=True,
+                          indent=2), code
     if not trace.spans:
         return f"{args.target}: no spans recorded", code
-    warning = _dropped_warning(trace, args.target) if trace.dropped else ""
-    return warning + analysis.render_report(
-        analysis.attribute(trace), source=args.target
-    ), code
+    return analysis.render_report(attribution, source=args.target), code
 
 
 def _chaos(args):
@@ -286,8 +227,6 @@ def main(argv=None) -> int:
                         + ["chaos", "inspect", "list", "report"])
     parser.add_argument("target", nargs="?",
                         help="trace file for the 'inspect'/'report' commands")
-    parser.add_argument("--attribute", action="store_true",
-                        help="inspect: add the per-subsystem cost attribution")
     parser.add_argument("--json", action="store_true",
                         help="report: machine-readable JSON instead of tables")
     parser.add_argument("--reps", type=int,
@@ -374,7 +313,7 @@ def main(argv=None) -> int:
         max_trace_events=None if args.trace else (512 if want_flightrec
                                                   else None),
         flightrec=want_flightrec,
-    ) if want_obs else _null_obs() as ctx:
+    ) if want_obs else contextlib.nullcontext(obs.get()) as ctx:
         try:
             for name in names:
                 t0 = time.time()  # repro: noqa[REP001] reason=CLI progress display only; never enters simulation state or exports
@@ -434,16 +373,6 @@ def _dump_flightrec(ctx, out_dir: str, command: str, fallback_kind: str,
     return flightrec_mod.write_bundle(
         out_dir, trigger, recorder=recorder, config={"command": command}
     )
-
-
-class _null_obs:
-    """Flags-off path: no ObsContext is installed at all."""
-
-    def __enter__(self):
-        return obs.get()
-
-    def __exit__(self, *exc):
-        return False
 
 
 if __name__ == "__main__":

@@ -6,18 +6,21 @@ logical operation (``xemem.make`` / ``xemem.attach`` / channel round
 trips / demand faults) from a Chrome-trace or JSONL export — or straight
 from a live :class:`~repro.obs.tracer.Tracer` — and computes:
 
-* **exclusive time** per span: duration minus the union of child
-  intervals clipped to the parent, so nothing is double-counted;
+* **exclusive time** per span, from one sweep that hands each instant
+  to the innermost open span, so nothing is counted twice;
 * **per-subsystem breakdowns** (pagetable walk / map install / channel
-  marshalling / IPI rounds / NIC / xemem bookkeeping / noise), the
-  Table-2-style decomposition the paper's evaluation hinges on;
+  marshalling / IPI rounds / VMM memory map / NIC / xemem bookkeeping /
+  noise), the Table-2-style decomposition the paper's evaluation hinges
+  on, per operation and per request journey;
 * **critical paths**: the longest root-to-leaf chain of each operation.
 
 ``pisces.transfer`` spans carry a ``marshal_ns`` attribute (closed-form
 per-PFN copy time); attribution splits the span's exclusive time into
 ``channel`` (marshalling) and ``ipi`` (handler rounds) with it, so the
 IPI share is visible even though per-round IPIs record no spans of their
-own (keeping fast/slow trace parity).
+own (keeping fast/slow trace parity). ``palacios.transfer`` spans carry
+``memmap_ns`` (the VMM's memory-map work on the PFN list), split into
+``vmm``; the rest (PCI copy, vIRQ or hypercall) stays ``channel``.
 
 Everything here is pure post-processing: loading or attributing a trace
 never touches simulation state.
@@ -26,7 +29,7 @@ never touches simulation state.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
 #: Attribution bucket names, in report order.
@@ -35,6 +38,7 @@ SUBSYSTEMS = (
     "map_install",
     "channel",
     "ipi",
+    "vmm",
     "nic",
     "xemem",
     "noise",
@@ -49,6 +53,7 @@ _PREFIX_RULES: Tuple[Tuple[str, str], ...] = (
     ("kernel.fault", "map_install"),
     ("pisces.transfer", "channel"),  # split channel/ipi via marshal_ns
     ("pisces", "channel"),
+    ("palacios.transfer", "channel"),  # split channel/vmm via memmap_ns
     ("nic.", "nic"),
     ("cluster.rdma", "nic"),
     ("xemem", "xemem"),
@@ -111,8 +116,11 @@ def _link(spans: List[SpanNode]) -> List[SpanNode]:
     return roots
 
 
-def from_tracer(tracer) -> TraceData:
-    """Build a :class:`TraceData` straight from a live tracer."""
+def from_tracer(tracer, since: int = 0) -> TraceData:
+    """Build a :class:`TraceData` from a live tracer's spans after the
+    first ``since`` recorded (ring-cap evictions among them count)."""
+    recorded = tracer.spans
+    fresh = len(recorded) + tracer.dropped - since
     spans = [
         SpanNode(
             span_id=s.span_id,
@@ -123,9 +131,10 @@ def from_tracer(tracer) -> TraceData:
             end_ns=s.end_ns if s.end_ns is not None else s.start_ns,
             attrs=dict(s.attrs),
         )
-        for s in tracer.spans
+        for s in recorded[max(len(recorded) - fresh, 0):]
     ]
-    return TraceData(spans=spans, roots=_link(spans), dropped=tracer.dropped)
+    return TraceData(spans=spans, roots=_link(spans),
+                     dropped=max(fresh - len(recorded), 0))
 
 
 def load_trace(path: Union[str, IO[str]]) -> TraceData:
@@ -205,47 +214,86 @@ def _load_jsonl(text: str) -> TraceData:
     return TraceData(spans=spans, roots=_link(spans), dropped=dropped)
 
 
-# -- attribution ---------------------------------------------------------------
+def load_or_exit(load, path: str, prog: str = ""):
+    """``load(path)``, with read and parse errors turned into a CLI exit."""
+    prefix = f"{prog}: " if prog else ""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise SystemExit(
+            f"{prefix}cannot read {exc.filename or path}: {exc.strerror}"
+        )
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(
+            f"{prefix}{path} is not a Chrome-trace or JSONL export ({exc})"
+        )
 
 
-def _child_union_ns(node: SpanNode) -> int:
-    """Total time covered by children, clipped to the parent, overlaps
-    merged — the amount of ``node``'s duration that is *not* exclusive."""
-    intervals = []
-    for c in node.children:
-        lo = max(c.start_ns, node.start_ns)
-        hi = min(c.end_ns, node.end_ns)
-        if hi > lo:
-            intervals.append((lo, hi))
-    if not intervals:
-        return 0
-    intervals.sort()
-    covered = 0
-    cur_lo, cur_hi = intervals[0]
-    for lo, hi in intervals[1:]:
-        if lo > cur_hi:
-            covered += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    covered += cur_hi - cur_lo
-    return covered
+# -- exclusive time ------------------------------------------------------------
+
+
+def _sweep(members: List[SpanNode], depths: List[int]) -> List[int]:
+    """Each member's share of the members' union (its exclusive ns): an
+    instant goes to the innermost open member — the deepest, then the
+    latest started, then the latest listed — so none counts twice."""
+    events = sorted(
+        (t, is_start, i)
+        for i, node in enumerate(members) if node.end_ns > node.start_ns
+        for t, is_start in ((node.start_ns, 1), (node.end_ns, 0))
+    )
+    shares = [0] * len(members)
+    open_now = set()
+    prev = 0
+    for t, is_start, i in events:
+        if open_now and t > prev:
+            innermost = max(open_now, key=lambda j: (
+                depths[j], members[j].start_ns, j))
+            shares[innermost] += t - prev
+        prev = t
+        (open_now.add if is_start else open_now.discard)(i)
+    return shares
+
+
+def tree_exclusive(root: SpanNode) -> List[Tuple[SpanNode, int, int]]:
+    """``(node, depth, exclusive ns)`` for each span of a tree, in preorder."""
+    nodes: List[SpanNode] = []
+    depths: List[int] = []
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        nodes.append(node)
+        depths.append(depth)
+        stack.extend((c, depth + 1) for c in reversed(node.children))
+    return list(zip(nodes, depths, _sweep(nodes, depths)))
 
 
 def exclusive_ns(node: SpanNode) -> int:
-    """Span duration not covered by any child (self time)."""
-    return max(node.duration_ns - _child_union_ns(node), 0)
+    """Span duration not covered by any descendant (self time)."""
+    return tree_exclusive(node)[0][2]
 
 
-def _split_buckets(node: SpanNode) -> Dict[str, int]:
+def _split_buckets(node: SpanNode, excl: Optional[int] = None) -> Dict[str, int]:
     """Exclusive time of one span, split across subsystem buckets."""
-    excl = exclusive_ns(node)
-    bucket = subsystem_of(node.name)
+    if excl is None:
+        excl = exclusive_ns(node)
     if node.name == "pisces.transfer":
         marshal = int(node.attrs.get("marshal_ns", 0) or 0)
         copy = min(marshal, excl)
         return {"channel": copy, "ipi": excl - copy}
-    return {bucket: excl}
+    if node.name == "palacios.transfer":
+        memmap = min(int(node.attrs.get("memmap_ns", 0) or 0), excl)
+        return {"vmm": memmap, "channel": excl - memmap}
+    return {subsystem_of(node.name): excl}
+
+
+def _add_buckets(node: SpanNode, excl: int, *accs: Dict[str, int]) -> None:
+    for bucket, ns in _split_buckets(node, excl).items():
+        if ns:
+            for acc in accs:
+                acc[bucket] = acc.get(bucket, 0) + ns
+
+
+# -- attribution ---------------------------------------------------------------
 
 
 @dataclass
@@ -258,10 +306,6 @@ class OperationBreakdown:
     by_subsystem: Dict[str, int]
     critical_path: List[Tuple[str, int]]  # (span name, inclusive ns)
 
-    @property
-    def attributed_ns(self) -> int:
-        return sum(self.by_subsystem.values())
-
 
 @dataclass
 class Attribution:
@@ -271,6 +315,7 @@ class Attribution:
     by_subsystem: Dict[str, int]
     total_ns: int
     dropped: int = 0
+    spans: int = 0
 
     @property
     def attributed_ns(self) -> int:
@@ -283,13 +328,23 @@ class Attribution:
             return 1.0
         return self.attributed_ns / self.total_ns
 
-
-def _walk_buckets(node: SpanNode, acc: Dict[str, int]) -> None:
-    for bucket, ns in _split_buckets(node).items():
-        if ns:
-            acc[bucket] = acc.get(bucket, 0) + ns
-    for child in node.children:
-        _walk_buckets(child, acc)
+    def to_doc(self, source: str) -> dict:
+        """Plain-dict rendering for ``report --json``."""
+        doc: Dict[str, Any] = {
+            "source": source,
+            "spans": self.spans,
+            "dropped": self.dropped,
+            "truncated": bool(self.dropped),
+        }
+        if self.spans:
+            doc.update(
+                total_ns=self.total_ns,
+                attributed_ns=self.attributed_ns,
+                coverage=self.coverage,
+                by_subsystem=self.by_subsystem,
+                operations=[asdict(op) for op in self.operations],
+            )
+        return doc
 
 
 def critical_path(root: SpanNode) -> List[Tuple[str, int]]:
@@ -302,51 +357,38 @@ def critical_path(root: SpanNode) -> List[Tuple[str, int]]:
     return path
 
 
+def _by_size(buckets: Dict[str, int]) -> Dict[str, int]:
+    return dict(sorted(buckets.items(), key=lambda kv: -kv[1]))
+
+
 def attribute(trace: TraceData) -> Attribution:
     """Per-operation and per-subsystem cost attribution for a trace."""
-    ops: Dict[str, Dict[str, Any]] = {}
-    total_by_subsystem: Dict[str, int] = {}
-    total_ns = 0
+    ops: Dict[str, OperationBreakdown] = {}
     best_root: Dict[str, SpanNode] = {}
+    total_by_subsystem: Dict[str, int] = {}
     for root in trace.roots:
         if root.duration_ns == 0 and not root.children:
             # Instant events (noise detours, msg markers) carry no time.
             continue
-        total_ns += root.duration_ns
-        buckets: Dict[str, int] = {}
-        _walk_buckets(root, buckets)
-        agg = ops.setdefault(
-            root.name, {"count": 0, "total_ns": 0, "by_subsystem": {}}
+        op = ops.setdefault(
+            root.name, OperationBreakdown(root.name, 0, 0, {}, [])
         )
-        agg["count"] += 1
-        agg["total_ns"] += root.duration_ns
-        for bucket, ns in buckets.items():
-            agg["by_subsystem"][bucket] = agg["by_subsystem"].get(bucket, 0) + ns
-            total_by_subsystem[bucket] = total_by_subsystem.get(bucket, 0) + ns
+        op.count += 1
+        op.total_ns += root.duration_ns
+        for node, _depth, excl in tree_exclusive(root):
+            _add_buckets(node, excl, op.by_subsystem, total_by_subsystem)
         prev = best_root.get(root.name)
         if prev is None or root.duration_ns > prev.duration_ns:
             best_root[root.name] = root
-    operations = [
-        OperationBreakdown(
-            name=name,
-            count=agg["count"],
-            total_ns=agg["total_ns"],
-            by_subsystem=dict(
-                sorted(agg["by_subsystem"].items(), key=lambda kv: -kv[1])
-            ),
-            critical_path=critical_path(best_root[name]),
-        )
-        for name, agg in sorted(
-            ops.items(), key=lambda kv: -kv[1]["total_ns"]
-        )
-    ]
+    for op in ops.values():
+        op.by_subsystem = _by_size(op.by_subsystem)
+        op.critical_path = critical_path(best_root[op.name])
     return Attribution(
-        operations=operations,
-        by_subsystem=dict(
-            sorted(total_by_subsystem.items(), key=lambda kv: -kv[1])
-        ),
-        total_ns=total_ns,
+        operations=sorted(ops.values(), key=lambda op: -op.total_ns),
+        by_subsystem=_by_size(total_by_subsystem),
+        total_ns=sum(op.total_ns for op in ops.values()),
         dropped=trace.dropped,
+        spans=len(trace.spans),
     )
 
 
@@ -370,7 +412,9 @@ class Journey:
     start_ns: int
     end_ns: int
     span_count: int
-    #: Exclusive time of member spans, split by subsystem bucket.
+    #: The journey's time split by subsystem bucket: each instant of the
+    #: members' union goes to the innermost member open at it, so the
+    #: buckets sum to at most :attr:`duration_ns`.
     by_subsystem: Dict[str, int]
     #: Time-ordered (name, inclusive ns) of the journey's phase roots —
     #: member spans whose parent is outside the journey.
@@ -403,36 +447,35 @@ def journeys(trace: TraceData) -> List[Journey]:
     anywhere on their ancestor chain belong to no journey.
     """
     members: Dict[str, List[SpanNode]] = {}
-    tagged: Dict[str, List[SpanNode]] = {}
+    #: per member: index of its nearest ancestor in the same journey
+    anchors: Dict[str, List[Optional[int]]] = {}
 
-    def walk(node: SpanNode, inherited: Optional[str]) -> None:
+    def walk(node: SpanNode, inherited: Optional[str],
+             above: Dict[str, int]) -> None:
         own = node.attrs.get("req_id")
         rid = own if isinstance(own, str) and own else inherited
         if rid is not None:
-            members.setdefault(rid, []).append(node)
-            if own == rid and own is not None:
-                tagged.setdefault(rid, []).append(node)
+            nodes = members.setdefault(rid, [])
+            anchors.setdefault(rid, []).append(above.get(rid))
+            above = {**above, rid: len(nodes)}
+            nodes.append(node)
         for child in node.children:
-            walk(child, rid)
+            walk(child, rid, above)
 
     for root in trace.roots:
-        walk(root, None)
+        walk(root, None, {})
 
     out: List[Journey] = []
     for rid, nodes in members.items():
-        in_journey = set(id(n) for n in nodes)  # repro: noqa[REP104] reason=process-local membership set for span-tree nodes within one pass; ids never leave this function
-        explicit = tagged.get(rid, nodes)
-        primary = min(explicit, key=lambda n: (n.start_ns, n.span_id or 0))
+        anchor = anchors[rid]
+        primary = min((n for n in nodes if n.attrs.get("req_id") == rid),
+                      key=lambda n: (n.start_ns, n.span_id or 0))
         by_subsystem: Dict[str, int] = {}
-        for node in nodes:
-            for bucket, ns in _split_buckets(node).items():
-                if ns:
-                    by_subsystem[bucket] = by_subsystem.get(bucket, 0) + ns
+        shares = _sweep(nodes, _journey_depths(nodes, anchor))
+        for node, excl in zip(nodes, shares):
+            _add_buckets(node, excl, by_subsystem)
         phase_roots = sorted(
-            (n for n in nodes
-             if not any(
-                 id(p) in in_journey for p in _ancestors(n, trace)  # repro: noqa[REP104] reason=membership test against the process-local set built above; same-pass identity only
-             )),
+            (n for n, a in zip(nodes, anchor) if a is None),
             key=lambda n: (n.start_ns, n.span_id or 0),
         )
         out.append(
@@ -450,30 +493,42 @@ def journeys(trace: TraceData) -> List[Journey]:
     return out
 
 
-def _ancestors(node: SpanNode, trace: TraceData):
-    """Parent chain of a node (via span ids), root-most last."""
-    by_id = getattr(trace, "_by_id", None)
-    if by_id is None:
-        by_id = {s.span_id: s for s in trace.spans if s.span_id is not None}
-        trace._by_id = by_id
-    seen = set()
-    cur = node
-    while cur.parent_id is not None and cur.parent_id not in seen:
-        seen.add(cur.parent_id)
-        parent = by_id.get(cur.parent_id)
-        if parent is None:
-            return
-        yield parent
-        cur = parent
+def _journey_depths(nodes: List[SpanNode],
+                    anchor: List[Optional[int]]) -> List[int]:
+    """Nesting depth of each member of one journey, for :func:`_sweep`.
+
+    A member sits one below its nearest member ancestor. A phase root
+    (such as the owner's serving span, recorded by another process)
+    adopts the deepest member enclosing it in time, placed before it in
+    the outermost-first order, so it counts inside the client op.
+    """
+    depths = [0] * len(nodes)
+    placed: List[int] = []
+    for i in sorted(range(len(nodes)), key=lambda i: (
+            nodes[i].start_ns, -nodes[i].end_ns, i)):
+        if anchor[i] is not None:
+            depths[i] = depths[anchor[i]] + 1
+        else:
+            depths[i] = 1 + max(
+                (depths[j] for j in placed
+                 if nodes[j].start_ns <= nodes[i].start_ns
+                 and nodes[i].end_ns <= nodes[j].end_ns),
+                default=-1,
+            )
+        placed.append(i)
+    return depths
+
+
+def longest_journeys(journeys_list: List[Journey], top: int) -> List[Journey]:
+    """The ``top`` journeys by duration (ties by req_id)."""
+    return sorted(journeys_list, key=lambda j: (-j.duration_ns, j.req_id))[:top]
 
 
 def render_journeys(journeys_list: List[Journey], top: int = 10) -> str:
     """Plain-text table of the biggest journeys."""
     from repro.bench.report import render_table
 
-    biggest = sorted(
-        journeys_list, key=lambda j: (-j.duration_ns, j.req_id)
-    )[:top]
+    biggest = longest_journeys(journeys_list, top)
     rows = []
     for j in biggest:
         subsys = " ".join(
@@ -504,18 +559,23 @@ def _pct(part: int, whole: int) -> str:
     return f"{100.0 * part / whole:.1f}%" if whole else "-"
 
 
+def drop_warnings(dropped: int, source: str) -> List[str]:
+    """The one truncated-trace warning, as a list of zero or one parts."""
+    if not dropped:
+        return []
+    return [
+        f"!! WARNING: {dropped} spans were DROPPED by the ring cap while "
+        f"recording {source} — every summary below is computed from a "
+        "TRUNCATED trace. Re-record with a larger span buffer "
+        "(obs.observing(..., max_trace_events=...)) for full coverage."
+    ]
+
+
 def render_report(attribution: Attribution, source: str = "trace") -> str:
     """Table-2-style plain-text breakdown of an attribution."""
     from repro.bench.report import render_table
 
-    parts: List[str] = []
-    if attribution.dropped:
-        parts.append(
-            f"WARNING: {attribution.dropped} spans were dropped by the ring "
-            "cap — this breakdown summarizes a TRUNCATED trace. Re-record "
-            "with a larger --trace buffer (max_trace_events) for full "
-            "attribution."
-        )
+    parts = drop_warnings(attribution.dropped, source)
     total = attribution.total_ns
     rows = [
         (bucket, f"{ns / 1e6:.3f}", _pct(ns, total))

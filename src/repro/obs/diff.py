@@ -51,9 +51,10 @@ def profile_trace(trace: analysis.TraceData, source: str = "trace",
     attribution = analysis.attribute(trace)
     by_name: Dict[str, List[int]] = {}
     for span in trace.spans:
-        agg = by_name.setdefault(span.name, [0, 0])
-        agg[0] += 1
-        agg[1] += analysis.exclusive_ns(span)
+        by_name.setdefault(span.name, [0, 0])[0] += 1
+    for root in trace.roots:
+        for span, _depth, excl in analysis.tree_exclusive(root):
+            by_name[span.name][1] += excl
     return CaptureProfile(
         source=source,
         total_ns=attribution.total_ns,
@@ -296,14 +297,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="exit 5 when the attributed share of the "
                              "delta falls below FRAC (e.g. 0.95)")
     args = parser.parse_args(argv)
-    try:
-        diff = diff_files(args.baseline, args.current)
-    except OSError as exc:
-        raise SystemExit(
-            f"perf-diff: cannot read {exc.filename}: {exc.strerror}"
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"perf-diff: not a trace capture or bundle ({exc})")
+    diff = diff_profiles(
+        analysis.load_or_exit(load_capture, args.baseline, "perf-diff"),
+        analysis.load_or_exit(load_capture, args.current, "perf-diff"),
+    )
     if args.json:
         print(json.dumps(diff.to_doc(), sort_keys=True, indent=2))
     else:

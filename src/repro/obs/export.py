@@ -27,7 +27,7 @@ import json
 import re
 from typing import Dict, IO, List, Tuple, Union
 
-from repro.obs.analysis import TraceData, SpanNode, exclusive_ns
+from repro.obs.analysis import TraceData, tree_exclusive
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -78,16 +78,6 @@ def prometheus_text(metrics: MetricsRegistry,
 # -- folded stacks -------------------------------------------------------------
 
 
-def _fold(node: SpanNode, path: Tuple[str, ...],
-          acc: Dict[Tuple[str, ...], int]) -> None:
-    here = path + (node.name,)
-    excl = exclusive_ns(node)
-    if excl:
-        acc[here] = acc.get(here, 0) + excl
-    for child in node.children:
-        _fold(child, here, acc)
-
-
 def folded_stacks(trace: TraceData) -> str:
     """Aggregate a span forest into ``flamegraph.pl`` folded lines.
 
@@ -97,9 +87,11 @@ def folded_stacks(trace: TraceData) -> str:
     """
     acc: Dict[Tuple[str, ...], int] = {}
     for root in trace.roots:
-        if root.duration_ns == 0 and not root.children:
-            continue  # instants carry no time
-        _fold(root, (), acc)
+        path: Tuple[str, ...] = ()
+        for node, depth, excl in tree_exclusive(root):
+            path = path[:depth] + (node.name,)
+            if excl:
+                acc[path] = acc.get(path, 0) + excl
     lines = [
         ";".join(path) + f" {ns}"
         for path, ns in sorted(acc.items())

@@ -131,9 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         first = slo_report.violations[0]
         recorder.trigger("slo.violation", first.time_ns, slo=first.slo,
                          detail=first.detail)
-    top_journeys = sorted(
-        all_journeys, key=lambda j: (-j.duration_ns, j.req_id)
-    )[:args.journeys]
+    top_journeys = analysis.longest_journeys(all_journeys, args.journeys)
 
     lines = report.lines()
     windows_line = (f"  windows: {len(ctx.timeseries)} x "

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+from repro import obs
 from repro.enclave.enclave import Channel, Enclave, KernelMessage
+from repro.obs.tracer import NULL_SPAN
 from repro.virt.palacios import PalaciosVmm
 
 
@@ -51,26 +53,35 @@ class PalaciosChannel(Channel):
         yield  # pragma: no cover
 
     def _transfer(self, src: Enclave, dst: Enclave, msg: KernelMessage):
-        costs = self.vmm.costs
-        if dst is self.guest_enclave:
-            # host -> guest: map any host PFN list into fresh guest space
-            if msg.pfns is not None:
-                gpa_pfns = yield from self.vmm.map_host_pfns_into_guest(msg.pfns)
-                msg = replace_pfns(msg, gpa_pfns)
-            yield from self.vmm.pci.host_to_guest(msg.kind, msg.pfns)
+        engine = src.engine
+        o = obs.get()
+        # Dark runs build no span: this runs once per channel message.
+        if o.tracer.enabled:
+            # Journey tag, as on pisces.transfer: requests carry req_id,
+            # responses reply_to.
+            rid = msg.payload.get("req_id") or msg.payload.get("reply_to")
+            span = o.span("palacios.transfer", engine, track=self.name,
+                          kind=msg.kind, npfns=msg.npfns,
+                          **({"req_id": rid} if rid else {}))
         else:
-            # guest -> host: translate any guest PFN list to host frames
+            span = NULL_SPAN
+        with span:
+            start = engine.now
+            if dst is self.guest_enclave:
+                # host -> guest: map any host PFN list into fresh guest space
+                remap = self.vmm.map_host_pfns_into_guest
+                deliver = self.vmm.pci.host_to_guest
+            else:
+                # guest -> host: translate any guest PFN list to host frames
+                remap = self.vmm.translate_guest_pfns
+                deliver = self.vmm.pci.guest_to_host
             if msg.pfns is not None:
-                hpa_pfns = yield from self.vmm.translate_guest_pfns(msg.pfns)
-                msg = replace_pfns(msg, hpa_pfns)
-            yield from self.vmm.pci.guest_to_host(msg.kind, msg.pfns)
+                msg = replace(msg, pfns=(yield from remap(msg.pfns)))
+            # The analysis layer splits the span into the VMM's memory-map
+            # work (``vmm``) and the PCI copy plus doorbell (``channel``).
+            span.set(memmap_ns=engine.now - start)
+            yield from deliver(msg.kind, msg.pfns)
         # guest-side PTE installs for delivered lists cost more through
         # the VMM than native installs; the module layer charges
         # guest_map_install_per_page_ns via the kernel's map routines.
-        del costs
         return msg
-
-
-def replace_pfns(msg: KernelMessage, pfns) -> KernelMessage:
-    """Copy of the message with its PFN list swapped."""
-    return KernelMessage(kind=msg.kind, payload=msg.payload, pfns=pfns)

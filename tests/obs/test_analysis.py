@@ -187,5 +187,5 @@ def test_render_report_warns_on_dropped_spans():
     attribution = analysis.attribute(_two_op_trace())
     attribution.dropped = 17
     text = analysis.render_report(attribution)
-    assert "WARNING: 17 spans were dropped" in text
+    assert "WARNING: 17 spans were DROPPED" in text
     assert "TRUNCATED" in text

@@ -79,6 +79,37 @@ def test_by_subsystem_sums_exclusive_time_without_double_counting():
     assert sum(j.by_subsystem.values()) == 1000
 
 
+def test_cross_process_member_nested_in_time_counts_once():
+    # The owner's serving span is recorded by another process (no parent
+    # link), while the client's attach is still open: each instant goes to
+    # the innermost member, with the serving span adopted by the attach.
+    spans = [
+        node("xemem.attach", 0, 1000, span_id=1, req_id="linux:1"),
+        node("pisces.transfer", 100, 200, span_id=2, parent_id=1,
+             marshal_ns=0),
+        node("xemem.serve_attach", 200, 600, span_id=3, req_id="linux:1"),
+        node("kernel.pagetable.walk", 200, 500, span_id=4, parent_id=3),
+        node("linux.map_remote", 600, 950, span_id=5, parent_id=1),
+    ]
+    (j,) = analysis.journeys(trace_of(*spans))
+    assert j.by_subsystem == {
+        "xemem": 250, "ipi": 100, "pagetable": 300, "map_install": 350,
+    }
+    assert sum(j.by_subsystem.values()) == j.duration_ns
+
+
+def test_members_with_identical_intervals_split_their_union_once():
+    spans = [
+        node("xemem.attach", 0, 1000, span_id=1, req_id="r"),
+        node("pisces.transfer", 200, 400, span_id=2, req_id="r"),
+        node("pisces.transfer", 200, 400, span_id=3, req_id="r"),
+        node("xemem.serve_attach", 1500, 2000, span_id=4, req_id="r"),
+    ]
+    (j,) = analysis.journeys(trace_of(*spans))
+    # the gap between 1000 and 1500 belongs to no member
+    assert sum(j.by_subsystem.values()) == 1500 == j.duration_ns - 500
+
+
 def test_critical_path_lists_only_phase_roots():
     spans = [
         node("xemem.attach", 0, 1000, span_id=1, req_id="r"),

@@ -101,16 +101,6 @@ def test_inspect_shows_per_name_duration_stats(tmp_path, capsys):
     assert "WARNING" not in out  # nothing dropped
 
 
-def test_inspect_attribute_flag_adds_breakdown(tmp_path, capsys):
-    trace = tmp_path / "t.json"
-    assert main(["explain", "--trace", str(trace)]) == 0
-    capsys.readouterr()
-    assert main(["inspect", str(trace), "--attribute"]) == 0
-    out = capsys.readouterr().out
-    assert "per-subsystem cost attribution" in out
-    assert "critical path:" in out
-
-
 def _truncated_trace(tmp_path):
     """A Chrome trace recorded with a tiny ring cap (spans dropped)."""
     from repro import obs
@@ -141,6 +131,13 @@ def test_report_exits_3_when_spans_were_dropped(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"WARNING: {dropped} spans were DROPPED" in out
     assert "TRUNCATED" in out
+
+
+@pytest.mark.parametrize("command,code", [("inspect", 0), ("report", 3)])
+def test_drop_warning_appears_exactly_once(tmp_path, capsys, command, code):
+    trace, _dropped = _truncated_trace(tmp_path)
+    assert main([command, str(trace)]) == code
+    assert capsys.readouterr().out.count("WARNING") == 1
 
 
 def test_report_json_surfaces_drop_counts(tmp_path, capsys):
@@ -183,6 +180,7 @@ def test_report_command_attributes_a_fig5_trace(tmp_path, capsys):
     for bucket in ("channel", "ipi", "xemem"):
         assert bucket in out
     assert "TOTAL (attributed)" in out
+    assert "critical path:" in out
     (coverage,) = re.findall(r"coverage ([0-9.]+)%", out.splitlines()[0])
     assert float(coverage) >= 95.0
 

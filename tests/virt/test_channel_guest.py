@@ -119,3 +119,56 @@ def test_guest_alloc_exhaustion():
 
     with pytest.raises(OutOfMemoryError):
         guest.alloc_pfns(guest.allocator.nframes + 1)
+
+
+def _two_way_sends(linux, vm):
+    """One host->guest PFN list (a response) and one guest->host list
+    (a request) through the VM's channel."""
+    linux.set_receiver(lambda msg, ch: None)
+    vm.set_receiver(lambda msg, ch: None)
+    channel = vm.channels[0]
+    hpas = linux.kernel.alloc_pfns(16, scattered=True)
+    gpas = vm.kernel.alloc_pfns(8)
+
+    def sends():
+        yield from channel.send(linux, KernelMessage(
+            "attach_resp", {"reply_to": "vm0:1"}, pfns=hpas))
+        yield from channel.send(vm, KernelMessage(
+            "attach_req", {"req_id": "vm0:2"}, pfns=gpas))
+
+    return sends()
+
+
+def test_transfer_span_splits_memmap_work_from_the_device():
+    from repro import obs
+
+    eng, _node, _pisces, linux, (vm,) = build_host_and_vm()
+    vmm = vm.kernel.vmm
+    costs = vmm.costs
+    with obs.observing(trace=True, metrics=False) as ctx:
+        eng.run_process(_two_way_sends(linux, vm))
+    to_guest, to_host = ctx.tracer.of_name("palacios.transfer")
+    assert to_guest.attrs == {"kind": "attach_resp", "npfns": 16,
+                              "req_id": "vm0:1",
+                              "memmap_ns": vmm.insert_work_log[-1]}
+    assert to_guest.duration_ns == (vmm.insert_work_log[-1]
+                                    + 16 * costs.pci_copy_per_pfn_ns
+                                    + costs.virq_inject_ns)
+    assert to_host.attrs["req_id"] == "vm0:2"
+    assert to_host.duration_ns == (to_host.attrs["memmap_ns"]
+                                   + 8 * costs.pci_copy_per_pfn_ns
+                                   + costs.hypercall_ns)
+
+
+def test_transfer_span_site_stays_dark(monkeypatch):
+    from repro.obs.context import ObsContext
+    from repro.obs.tracer import Tracer
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("a dark site reached the tracer")
+
+    eng, _node, _pisces, linux, (vm,) = build_host_and_vm()
+    monkeypatch.setattr(Tracer, "span", boom)
+    monkeypatch.setattr(ObsContext, "span", boom)
+    eng.run_process(_two_way_sends(linux, vm))
+    assert vm.channels[0].messages_sent == 2

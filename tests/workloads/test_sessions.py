@@ -81,3 +81,5 @@ def test_observed_run_produces_journeys_for_every_op():
     assert len(js) >= report.ops_total
     assert all(j.req_id for j in js)
     assert any(j.op.startswith("xemem.") for j in js)
+    # each instant counts once: no journey is charged more than its span
+    assert all(sum(j.by_subsystem.values()) <= j.duration_ns for j in js)
