@@ -89,6 +89,16 @@ class FrameRangeList:
         lengths = np.diff(np.concatenate((heads, [len(pfns)])))
         return cls(pfns[heads], lengths)
 
+    def coalesced(self) -> "FrameRangeList":
+        """The same frames with physically adjacent runs merged: the
+        maximal runs of :meth:`pfns`, without flattening."""
+        starts, lengths = self.starts, self.lengths
+        merge = starts[1:] == starts[:-1] + lengths[:-1]
+        if not merge.any():
+            return self
+        heads = np.flatnonzero(np.concatenate(([True], ~merge)))
+        return FrameRangeList(starts[heads], np.add.reduceat(lengths, heads))
+
     @property
     def nframes(self) -> int:
         """Total frames across all runs."""

@@ -11,8 +11,15 @@ Correctness and cost are separated deliberately:
 
 * The canonical store is three sorted int64 columns — entry starts, ends
   and host starts — kept in place with ``searchsorted`` and splicing,
-  giving exact translations and fast vectorized :meth:`translate_array`.
-  A :class:`MapEntry` is built only when one entry is asked for.
+  giving exact translations. A :class:`MapEntry` is built only when one
+  entry is asked for.
+* A PFN list (:meth:`translate_array`, :meth:`peek_translate_array`) is
+  resolved by segment, not by page: its maximal runs of consecutive PFNs
+  find their first and last entries with ``searchsorted`` on the run
+  endpoints, a run crossing entries splits into one segment per entry,
+  and each segment is ``gpa + delta``. Guest exports are a few long
+  runs, so the cost is per run; maps of per-page entries stay vectorized
+  with segments ≈ pages.
 * Every mutation/lookup is *mirrored* into the configured backend — the
   real red–black tree or the real radix tree — and the nodes/levels the
   backend actually touches are converted to nanoseconds. No asymptotic
@@ -27,18 +34,21 @@ Correctness and cost are separated deliberately:
 A last-entry cache (TLB-like) fronts :meth:`translate`; sequential
 translations through a large VM-RAM entry hit it almost always, which is
 why guest-*export* translation (Fig. 4(b)) is cheap while guest-*attach*
-insertion (Fig. 4(a)) is not — inserts can't be cached.
+insertion (Fig. 4(a)) is not — inserts can't be cached. A list walk is
+charged per segment — one backend lookup at each entry change, hits for
+the rest — which is exactly what a page-by-page walk through the cache
+would charge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.hw.costs import CostModel
-from repro.hw.memory import pfns_to_ranges
+from repro.hw.memory import FrameRangeList, pfns_to_ranges
 from repro.virt.radixmap import RadixMap
 from repro.virt.rbtree import RedBlackTree
 
@@ -271,30 +281,34 @@ class VmmMemoryMap:
 
     # -- mutation -------------------------------------------------------------------
 
-    def insert_mapping(self, gpa_start_pfn: int, hpa_pfns: np.ndarray,
+    def insert_mapping(self, gpa_start_pfn: int,
+                       hpa_pfns: Union[np.ndarray, FrameRangeList],
                        coalesce: Optional[bool] = None) -> int:
-        """Map ``len(hpa_pfns)`` guest pages at ``gpa_start_pfn``.
+        """Map host frames to guest pages from ``gpa_start_pfn``.
 
-        One entry per delivered page by default (the shipped Palacios
-        behaviour §5.4 measures); one entry per contiguous host run when
-        coalescing. Returns the modeled work (ns) — the figure Table 2's
-        "w/o rb-tree inserts" column subtracts.
+        ``hpa_pfns`` is a host PFN array or, so that a contiguous
+        allocation is never flattened, its runs. One entry per delivered
+        page by default (the shipped Palacios behaviour §5.4 measures);
+        one entry per maximal contiguous host run when coalescing.
+        Returns the modeled work (ns) — the figure Table 2's "w/o rb-tree
+        inserts" column subtracts.
         """
         coalesce = self.coalesce if coalesce is None else coalesce
-        hpa_pfns = np.asarray(hpa_pfns, dtype=np.int64)
-        npages = len(hpa_pfns)
-        if npages == 0:
+        if coalesce:
+            runs = (hpa_pfns.coalesced() if isinstance(hpa_pfns, FrameRangeList)
+                    else pfns_to_ranges(np.asarray(hpa_pfns, dtype=np.int64)))
+            hpas, lengths = runs.starts, runs.lengths
+        else:
+            hpas = (hpa_pfns.pfns() if isinstance(hpa_pfns, FrameRangeList)
+                    else np.asarray(hpa_pfns, dtype=np.int64))
+            lengths = np.ones(len(hpas), dtype=np.int64)
+        if len(hpas) == 0:
             raise ValueError("empty mapping")
-        end = gpa_start_pfn + npages
+        end = gpa_start_pfn + int(lengths.sum())
         pos = int(np.searchsorted(self._starts, gpa_start_pfn))
         if (pos > 0 and self._ends[pos - 1] > gpa_start_pfn) or (
                 pos < len(self._starts) and self._starts[pos] < end):
             raise ValueError(f"gpa range [{gpa_start_pfn}, {end}) overlaps")
-        if coalesce:
-            runs = pfns_to_ranges(hpa_pfns)
-            hpas, lengths = runs.starts, runs.lengths
-        else:
-            hpas, lengths = hpa_pfns, np.ones(npages, dtype=np.int64)
         if hpas.min() < 0:  # a run's lowest frame is its start
             raise ValueError(f"negative host pfn {int(hpas.min())}")
         ends = gpa_start_pfn + np.cumsum(lengths)
@@ -353,45 +367,81 @@ class VmmMemoryMap:
         self._cache = entry
         return entry.translate(gpa_pfn)
 
+    def _resolve(self, gpa_pfns: np.ndarray, unmapped: str = "gpa pfn {} unmapped"
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Translate a non-empty PFN list by (run × entry) segment.
+
+        A run is a maximal stretch of consecutive PFNs; a run that crosses
+        entries is split at each entry boundary, so every segment is
+        ``gpa + delta`` for one entry's delta. Returns the segments' entry
+        indices and first guest PFNs, in element order, and the host
+        frames in a fresh array. Raises :class:`TranslationError` with
+        ``unmapped`` formatted with the first PFN below the first entry,
+        if any, else with the first PFN (in input order) no entry covers.
+        """
+        starts, ends = self._starts, self._ends
+        if len(starts) == 0:
+            raise TranslationError("memory map is empty")
+        breaks = np.flatnonzero(gpa_pfns[1:] - gpa_pfns[:-1] != 1)
+        first = gpa_pfns[np.concatenate(([0], breaks + 1))]
+        last = gpa_pfns[np.append(breaks, len(gpa_pfns) - 1)]
+        lo = starts.searchsorted(first, "right") - 1
+        hi = starts.searchsorted(last, "right") - 1
+        base = int(lo.min())
+        if base < 0:
+            raise TranslationError(unmapped.format(int(first[int(np.argmax(lo < 0))])))
+        # gaps[k - base]: how many neighbour pairs among entries base..k
+        # leave a hole, so a run over entries lo..hi is hole-free iff
+        # gaps[hi - base] == gaps[lo - base]
+        top = int(hi.max())
+        gaps = np.concatenate(([0], (ends[base:top] < starts[base + 1:top + 1]).cumsum()))
+        covered = ((first < ends[lo]) & (last < ends[hi])
+                   & (gaps[hi - base] == gaps[lo - base]))
+        if not covered.all():
+            r = int(np.argmax(~covered))
+            ks = np.arange(lo[r], hi[r] + 1)
+            hole = np.append(ends[ks[:-1]] < starts[ks[1:]], True)
+            bad = max(int(first[r]), int(ends[ks[int(np.argmax(hole))]]))
+            raise TranslationError(unmapped.format(bad))
+        count = hi - lo + 1
+        run_end = count.cumsum()
+        run_head = run_end - count
+        entry = np.arange(int(run_end[-1])) + (lo - run_head).repeat(count)
+        seg_first = starts[entry]
+        seg_first[run_head] = first
+        seg_end = ends[entry]
+        seg_end[run_end - 1] = last + 1
+        hpa = (self._hpas[entry] - starts[entry]).repeat(seg_end - seg_first)
+        hpa += gpa_pfns
+        return entry, seg_first, hpa
+
     def translate_array(self, gpa_pfns: np.ndarray) -> np.ndarray:
         """Vectorized GPA→HPA for a PFN list (the Fig. 4(b) walk).
 
-        Work accounting models the cache exactly: one real backend lookup
-        per run transition in the access sequence, cache-hit cost for the
-        rest.
+        Work accounting models the cache exactly, per segment: one real
+        backend lookup, at the segment's first page, wherever the entry
+        changes in the access sequence (the first one skipped when the
+        cache already holds the first page's entry), cache-hit cost for
+        every other page.
         """
         gpa_pfns = np.asarray(gpa_pfns, dtype=np.int64)
         if len(gpa_pfns) == 0:
             raise ValueError("empty translation")
         self.last_op_work_ns = 0
-        starts, ends, hpas = self._starts, self._ends, self._hpas
-        if len(starts) == 0:
-            raise TranslationError("memory map is empty")
-        idx = np.searchsorted(starts, gpa_pfns, side="right") - 1
-        if (idx < 0).any():
-            bad = int(gpa_pfns[int(np.argmax(idx < 0))])
-            raise TranslationError(f"gpa pfn {bad} unmapped")
-        inside = gpa_pfns < ends[idx]
-        if not inside.all():
-            bad = int(gpa_pfns[int(np.argmax(~inside))])
-            raise TranslationError(f"gpa pfn {bad} unmapped")
-        # cache modeling: a backend lookup whenever the entry changes
-        run_starts = np.flatnonzero(np.r_[True, np.diff(idx) != 0])
-        first_cached = (
-            self._cache is not None
-            and self._cache.gpa_start_pfn <= gpa_pfns[0] < self._cache.gpa_end_pfn
-        )
-        if first_cached:
-            run_starts = run_starts[1:]
-        misses = len(run_starts)
+        entry, seg_first, hpa = self._resolve(gpa_pfns)
+        change = np.flatnonzero(np.concatenate(([True], entry[1:] != entry[:-1])))
+        cache = self._cache
+        if cache is not None and cache.gpa_start_pfn <= gpa_pfns[0] < cache.gpa_end_pfn:
+            change = change[1:]
+        misses = len(change)
         hits = len(gpa_pfns) - misses
         self.cache_hits += hits
         self.cache_misses += misses
-        self._charge(hits * self.costs.memmap_cache_hit_ns)
-        for i in run_starts:
-            self._charge(self.backend.lookup(int(gpa_pfns[i])))
-        self._cache = self._entry(idx[-1])
-        return hpas[idx] + (gpa_pfns - starts[idx])
+        lookup = self.backend.lookup
+        self._charge(hits * self.costs.memmap_cache_hit_ns
+                     + sum(lookup(gpa) for gpa in seg_first[change].tolist()))
+        self._cache = self._entry(int(entry[-1]))
+        return hpa
 
     def peek_translate_array(self, gpa_pfns: np.ndarray) -> np.ndarray:
         """GPA→HPA without cost accounting.
@@ -400,13 +450,9 @@ class VmmMemoryMap:
         cost is part of ordinary memory-access time, not VMM work).
         """
         gpa_pfns = np.asarray(gpa_pfns, dtype=np.int64)
-        starts, ends, hpas = self._starts, self._ends, self._hpas
-        if len(starts) == 0:
-            raise TranslationError("memory map is empty")
-        idx = np.searchsorted(starts, gpa_pfns, side="right") - 1
-        if (idx < 0).any() or not (gpa_pfns < ends[idx]).all():
-            raise TranslationError("unmapped gpa pfn in range")
-        return hpas[idx] + (gpa_pfns - starts[idx])
+        if len(gpa_pfns) == 0 and len(self._starts):
+            return np.empty(0, dtype=np.int64)
+        return self._resolve(gpa_pfns, "unmapped gpa pfn in range")[2]
 
     # -- introspection ---------------------------------------------------------------
 

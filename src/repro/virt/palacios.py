@@ -25,7 +25,7 @@ from typing import List
 import numpy as np
 
 from repro.hw.costs import MB, PAGE_4K
-from repro.hw.memory import FrameRange
+from repro.hw.memory import FrameRange, FrameRangeList
 from repro.kernels.base import KernelBase
 from repro.virt.memmap import VmmMemoryMap
 from repro.virt.pci import XememPciDevice
@@ -81,7 +81,8 @@ class PalaciosVmm:
             self._ram_blocks.append(rng)
             # RAM blocks are single entries regardless of policy: Palacios
             # builds them as whole contiguous regions at VM boot.
-            self.memmap.insert_mapping(gpa, rng.pfns(), coalesce=True)
+            self.memmap.insert_mapping(
+                gpa, FrameRangeList([rng.start_pfn], [rng.nframes]), coalesce=True)
             gpa += take
             remaining -= take
 

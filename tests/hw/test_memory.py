@@ -10,7 +10,7 @@ from repro.hw import (
     PhysicalMemory,
 )
 from repro.hw.costs import MB, PAGE_4K
-from repro.hw.memory import MappedRegion, pfns_to_ranges, ranges_to_pfns
+from repro.hw.memory import FrameRangeList, MappedRegion, pfns_to_ranges, ranges_to_pfns
 
 
 # -- FrameRange ---------------------------------------------------------------
@@ -47,6 +47,16 @@ def test_ranges_pfns_roundtrip():
 def test_empty_ranges_to_pfns():
     assert len(ranges_to_pfns([])) == 0
     assert pfns_to_ranges(np.empty(0, dtype=np.int64)) == []
+
+
+def test_coalesced_merges_adjacent_runs_without_flattening():
+    runs = FrameRangeList([0, 10, 12, 13, 20], [3, 2, 1, 4, 1])
+    merged = runs.coalesced()
+    assert merged == [FrameRange(0, 3), FrameRange(10, 7), FrameRange(20, 1)]
+    assert merged == pfns_to_ranges(runs.pfns())
+    assert merged.coalesced() is merged  # already maximal: no copy
+    empty = FrameRangeList(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    assert empty.coalesced() is empty
 
 
 # -- FrameAllocator -----------------------------------------------------------
