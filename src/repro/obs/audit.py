@@ -15,8 +15,9 @@ The invariant catalogue (see ``docs/OBSERVABILITY.md``):
   same physical memory are disjoint; a PFN mapped by a process of its
   owning kernel is never simultaneously on that kernel's free list;
   free lists themselves are sorted, non-overlapping, inside the window.
-* **refcount balance** — live-attachment and SMARTMAP refcounts are
-  non-negative and refer to live grants; a segment's ``grants_out``
+* **refcount balance** — live attachments refer to live grants, no
+  released grant stays registered, SMARTMAP refcounts are
+  non-negative; a segment's ``grants_out``
   covers at least the owner-local grants at all times and, at
   quiescence, equals the live grants across *all* modules.
 * **PTE <-> region consistency** — each region's ``populated`` equals
@@ -353,28 +354,27 @@ class Auditor:
     def _check_refcounts(self, fail) -> None:
         for module in self.modules:
             name = module.enclave.name
-            # Negative counts and released-but-registered grants fall out
-            # of single vectorized masks over the SoA columns.
-            for apid in module._live_attachments.negative_apids().tolist():
-                fail("refcount-balance",
-                     f"{name}: apid {apid} live-attachment count "
-                     f"{module._live_attachments[apid]} is negative")
-            for apid, live in module._live_attachments.items():
-                if live > 0 and apid not in module.grants:
+            attacher = module.attacher
+            for apid, live in attacher.attachments.items():
+                if live and apid not in attacher.grants:
                     fail("refcount-balance",
-                         f"{name}: apid {apid} has {live} live attachments "
-                         "but no grant")
-            for key, refs in module._smartmap_refs.items():
+                         f"{name}: apid {apid} has {len(live)} live "
+                         "attachments but no grant")
+            for key, refs in attacher.smartmap_refs.items():
                 if refs < 0:
                     fail("refcount-balance",
                          f"{name}: SMARTMAP refcount {refs} for {key} is "
                          "negative")
-            for apid in module.grants.released_apids().tolist():
-                fail("refcount-balance",
-                     f"{name}: apid {apid} is released but still "
-                     "registered")
-            local_by_segid = module.grants.counts_by_segid(owner_local_only=True)
-            for segid, seg in module.segments.items():
+            local_by_segid: dict = {}
+            for apid, grant in attacher.grants.items():
+                if grant.released:
+                    fail("refcount-balance",
+                         f"{name}: apid {apid} is released but still "
+                         "registered")
+                if grant.owner_is_local:
+                    segid = int(grant.segid)
+                    local_by_segid[segid] = local_by_segid.get(segid, 0) + 1
+            for segid, seg in module.owner.segments.items():
                 if seg.grants_out < 0:
                     fail("refcount-balance",
                          f"{name}: segment {segid} grants_out "
@@ -409,10 +409,11 @@ class Auditor:
         if not self._lossy_faults():
             grants_by_segid: dict = {}
             for module in self.modules:
-                for segid, count in module.grants.counts_by_segid().items():
-                    grants_by_segid[segid] = grants_by_segid.get(segid, 0) + count
+                for grant in module.attacher.grants.values():
+                    segid = int(grant.segid)
+                    grants_by_segid[segid] = grants_by_segid.get(segid, 0) + 1
             for module in self.modules:
-                for segid, seg in module.segments.items():
+                for segid, seg in module.owner.segments.items():
                     held = grants_by_segid.get(segid, 0)
                     if held != seg.grants_out:
                         fail("refcount-balance",

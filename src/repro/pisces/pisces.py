@@ -221,7 +221,7 @@ class PiscesManager:
                     )
 
         if notify_nameserver and ns_module is not None and crashed_id is not None:
-            ns_module.nameserver.gc_enclave(crashed_id)
+            ns_module.gc_enclave(crashed_id)
 
         self._unwatch(enclave)
 

@@ -8,11 +8,13 @@ Public surface:
   only this; they never see enclave IDs or channels (§3.1's transparency
   goal).
 * :class:`~repro.xemem.module.XememModule` — the per-enclave "kernel
-  module": local segment registry, command routing, remote attach
-  serving via page-table walks, and mapping of remote PFN lists.
+  module": command routing, remote attach serving via page-table walks,
+  and mapping of remote PFN lists, as the shell around the protocol core.
 * :class:`~repro.xemem.nameserver.NameServer` — the centralized segid
   authority providing the common global name space (§3.1) and segid→
   enclave mapping used to forward attachment commands (§4.2).
+* :mod:`repro.xemem.core` — the engine-free owner, attacher and replay
+  roles that hold each enclave's protocol tables.
 * :func:`~repro.xemem.routing.run_discovery` — the §3.2 hierarchical
   discovery/routing protocol.
 * :func:`~repro.xemem.module.install_xemem` — convenience: put a module

@@ -1,38 +1,35 @@
-"""The per-enclave XEMEM kernel module.
+"""The per-enclave XEMEM kernel module: the shell around the protocol core.
 
-One :class:`XememModule` sits in each enclave. It is simultaneously:
+One :class:`XememModule` sits in each enclave. The protocol's tables and
+their transitions live in engine-free role objects: the name server's
+segid and name tables (:class:`~repro.xemem.nameserver.NameServer`, on
+exactly one enclave, §4.2), the owner's exports and grants
+(:class:`~repro.xemem.core.SegmentOwner`, §4.3), the attacher's apids and
+mappings (:class:`~repro.xemem.core.Attacher`) and the replay cache
+(:class:`~repro.xemem.core.ReplayCache`). The module is the shell around
+them. It receives and routes messages by §3.2's forwarding rule, runs
+discovery, deduplicates retried requests, admits them under overload
+control, charges modeled costs, opens spans, bumps counters, drives the
+enclave kernel's walks and mappings (SMARTMAP on Kitten, lazy VMAs on
+Linux, eager PFN-list maps across enclaves) and sends the responses.
 
-* the **router** — implementing the §3.2 forwarding rule over the
-  enclave's channels, including the discovery protocol's pending-request
-  bookkeeping that builds routing maps as enclave IDs flow back;
-* the **name-server host** — on exactly one enclave, resolving
-  segid-addressed commands to their owner enclave (§4.2);
-* the **segment server** — serving remote attach requests by walking the
-  exporting process's page table to generate PFN lists (§4.3);
-* the **mapping client** — installing remote PFN lists into local
-  processes through the enclave kernel's own mapping routines, and
-  handling the *local* fast paths (SMARTMAP on Kitten, lazy VMAs on
-  Linux) when both processes share an enclave.
-
-Everything time-consuming is a generator run inside the simulation; all
+Everything time-consuming is a generator run inside the simulation;
 request/response pairs are correlated by ``req_id`` through the pending
 table, and responses route back through the name server exactly as the
-paper describes.
+paper describes. docs/PROTOCOL.md lists which role owns which table.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from typing import Dict, Optional
-
-import numpy as np
 
 from repro import obs
 from repro.obs.tracer import NULL_SPAN
 from repro.enclave.enclave import Channel, ChannelClosedError, Enclave, KernelMessage
 from repro.kernels.pagetable import PAGE_SIZE
 from repro.xemem import commands as C
+from repro.xemem.core import IN_SERVICE, Attacher, Grant, ReplayCache, SegmentOwner
 from repro.xemem.ids import (
     ApId,
     Permit,
@@ -45,13 +42,7 @@ from repro.xemem.ids import (
 from repro.xemem.nameserver import NameServer
 from repro.xemem import overload as OV
 from repro.xemem.routing import RoutingError, RoutingTable
-from repro.xemem.shmem import (
-    ApGrant, AttachedRegion, ExportedSegment, GrantTable, LiveCounts,
-)
-
-#: Bound on the retried-request replay cache (FIFO eviction). Large
-#: enough that a response outlives its request's full retry budget.
-_REPLAY_CACHE_CAP = 512
+from repro.xemem.shmem import AttachedRegion, ExportedSegment
 
 
 class XememModule:
@@ -63,25 +54,19 @@ class XememModule:
         self.engine = enclave.engine
         self.costs = self.kernel.costs
         self.routing = RoutingTable()
+        # -- protocol core: one object per role --
         self.nameserver: Optional[NameServer] = NameServer() if is_name_server else None
-        self.segments: Dict[int, ExportedSegment] = {}
-        #: Columnar grant list (SoA; dict-like surface keyed by apid).
-        self.grants = GrantTable()
+        self.owner = SegmentOwner()
+        self.attacher = Attacher()
+        self.replay = ReplayCache()
+        # -- transport state --
         self._pending: Dict[str, object] = {}      # req_id -> Event
         self._ping_pending: Dict[str, object] = {} # token -> Event
         self._forwarded: Dict[str, Channel] = {}   # discovery req_id -> origin
         self._req_counter = itertools.count()
-        self._apid_counter = itertools.count(1)
-        self._smartmap_refs: Dict[tuple, int] = {}
-        # -- event-notification extension state --
-        #: owner side: segid -> subscribed enclave ids
-        self._signal_subs: Dict[int, list] = {}
-        #: waiter side: segid -> (pending signal count, waiting Events)
+        #: waiter side of the doorbells: segid -> [pending signal count,
+        #: waiting Events]
         self._signal_state: Dict[int, list] = {}
-        #: live attachment count per apid (release is refused while > 0)
-        self._live_attachments = LiveCounts()
-        #: live AttachedRegion objects per apid, for crash-time invalidation
-        self._attachments_by_apid: Dict[int, list] = {}
         # -- failure-resilience state --
         #: set by PiscesManager.crash_enclave; a crashed module drops all
         #: traffic and never raises out of handlers
@@ -90,11 +75,6 @@ class XememModule:
         #: "use the armed fault plan's policy, or park forever when none"
         self.request_timeout_ns: Optional[int] = None
         self.max_request_retries = 4
-        #: req_id -> completed response (idempotent replay of retried
-        #: commands); only populated while a non-empty fault plan is armed
-        self._served_responses: "OrderedDict[str, KernelMessage]" = OrderedDict()
-        #: req_ids currently being served (suppress duplicates in flight)
-        self._in_service: set = set()
         #: name-server restart outage: drop NS traffic until this time
         self._ns_down_until = 0
         # -- overload protection (default off; one attribute check on the
@@ -403,37 +383,29 @@ class XememModule:
             return
         if kind == C.ALLOC_ENCLAVE_ID:
             req_id = msg.payload["req_id"]
-            if self.is_name_server:
-                if self._ns_down_until > self.engine.now:
-                    obs.get().counter("faults.ns.dropped_while_down").inc()
-                    return
-                cached = self._served_responses.get(req_id)
-                if cached is not None:
-                    # retried allocation: replay the assignment instead of
-                    # burning a second enclave ID
-                    obs.get().counter("xemem.msgs.replayed").inc()
-                    yield from channel.send(
-                        self.enclave,
-                        KernelMessage(kind=cached.kind,
-                                      payload=dict(cached.payload)),
-                    )
-                    return
-                if req_id in self._in_service:
-                    obs.get().counter("xemem.msgs.dup_in_service").inc()
-                    return
-                if self._request_dedup_active():
-                    self._in_service.add(req_id)
-                new_id = self.nameserver.alloc_enclave_id()
-                self.routing.learn(new_id, channel)
-                assigned = C.make_command(
-                    C.ENCLAVE_ID_ASSIGNED, self.my_id, None,
-                    req_id=req_id, enclave_id=new_id,
-                )
-                self._record_response(req_id, assigned)
-                yield from channel.send(self.enclave, assigned)
-            else:
+            if not self.is_name_server:
                 self._forwarded[req_id] = channel
                 yield from self._send(msg)
+                return
+            if self._ns_down_until > self.engine.now:
+                obs.get().counter("faults.ns.dropped_while_down").inc()
+                return
+            replay = self._replay_of(msg)
+            if replay is not None:
+                # a retried allocation replays the assignment instead of
+                # burning a second enclave ID
+                if replay is not IN_SERVICE:
+                    yield from channel.send(self.enclave, replay)
+                return
+            new_id = self.nameserver.alloc_enclave_id()
+            obs.get().counter("xemem.ns.enclave_ids").inc()
+            self.routing.learn(new_id, channel)
+            assigned = C.make_command(
+                C.ENCLAVE_ID_ASSIGNED, self.my_id, None,
+                req_id=req_id, enclave_id=new_id,
+            )
+            self.replay.record(req_id, assigned, self._request_dedup_active())
+            yield from channel.send(self.enclave, assigned)
             return
         if kind == C.ENCLAVE_ID_ASSIGNED:
             req_id = msg.payload["req_id"]
@@ -453,14 +425,10 @@ class XememModule:
 
         # -- addressed traffic ------------------------------------------------
         dst = msg.payload.get("dst")
-        if dst is None and not self.is_name_server:
-            self._count_forward()
-            yield from self._send(msg)
-            return
         if dst is None and self.is_name_server:
             yield from self._handle_at_name_server(msg)
             return
-        if dst != self.my_id:
+        if dst is None or dst != self.my_id:
             self._count_forward()
             yield from self._send(msg)
             return
@@ -503,21 +471,16 @@ class XememModule:
 
     def _reject_overloaded(self, msg: KernelMessage, verdict: str,
                            ov: "OV.ModuleOverload") -> None:
-        """Answer a refused request with a backpressure response.
-
-        Deliberately *not* routed through :meth:`_respond`: a rejection
-        must never enter the replay cache, or a retried request would be
-        told "overloaded" forever."""
+        """Answer a refused request with a backpressure response."""
         obs.get().counter("xemem.msgs.overload_rejected").inc()
         if msg.kind in C.ONE_WAY or msg.kind not in C.RESPONSE_KIND:
             return
-        resp = C.make_response(
-            msg, self.my_id,
+        self._respond(
+            msg, rejected=True,
             error=f"overloaded: {verdict} at enclave {self.enclave.name!r}",
             overload=verdict,
             retry_after_ns=ov.controller.retry_hint_ns(),
         )
-        self._spawn_send(resp)
 
     # -- retried-request deduplication -------------------------------------
 
@@ -525,47 +488,42 @@ class XememModule:
         injector = self.engine.faults
         return injector is not None and injector.active
 
-    def _maybe_replay(self, msg: KernelMessage) -> bool:
-        """True if ``msg`` is a duplicate of a served/in-flight request.
-
-        A cached response is re-sent (idempotent replay); a duplicate of a
-        request still in service is suppressed — the original's response
-        will answer both, since they share a req_id.
-        """
+    def _replay_of(self, msg: KernelMessage):
+        """The replay cache's verdict on ``msg`` while dedup is on: a copy
+        of the cached response to re-send, ``IN_SERVICE`` for a duplicate
+        of a request still being served (the original's response answers
+        both), or None for a request to serve."""
         if not self._request_dedup_active():
-            return False
+            return None
         req_id = msg.payload.get("req_id")
         if req_id is None:
-            return False
-        cached = self._served_responses.get(req_id)
-        if cached is not None:
-            obs.get().counter("xemem.msgs.replayed").inc()
-            self._spawn_send(
-                KernelMessage(kind=cached.kind, payload=dict(cached.payload),
-                              pfns=cached.pfns)
-            )
-            return True
-        if req_id in self._in_service:
+            return None
+        seen = self.replay.admit(req_id)
+        if seen is None:
+            return None
+        if seen is IN_SERVICE:
             obs.get().counter("xemem.msgs.dup_in_service").inc()
-            return True
-        self._in_service.add(req_id)
-        return False
+            return seen
+        obs.get().counter("xemem.msgs.replayed").inc()
+        return KernelMessage(kind=seen.kind, payload=dict(seen.payload),
+                             pfns=seen.pfns)
 
-    def _record_response(self, req_id: Optional[str],
-                         resp: KernelMessage) -> None:
-        if req_id is None:
-            return
-        self._in_service.discard(req_id)
-        if not self._request_dedup_active():
-            return
-        self._served_responses[req_id] = resp
-        while len(self._served_responses) > _REPLAY_CACHE_CAP:
-            self._served_responses.popitem(last=False)
+    def _maybe_replay(self, msg: KernelMessage) -> bool:
+        """True if ``msg`` was a duplicate (its cached response, if any,
+        is re-sent). Double-serving would double-count grants_out."""
+        replay = self._replay_of(msg)
+        if replay is None:
+            return False
+        if replay is not IN_SERVICE:
+            self._spawn_send(replay)
+        return True
 
-    def _respond(self, request: KernelMessage, pfns=None, **fields) -> None:
+    def _respond(self, request: KernelMessage, pfns=None, rejected=False,
+                 **fields) -> None:
         """Build, record (for replay), and spawn-send a response."""
         resp = C.make_response(request, self.my_id, pfns=pfns, **fields)
-        self._record_response(request.payload.get("req_id"), resp)
+        self.replay.record(request.payload.get("req_id"), resp,
+                           self._request_dedup_active(), rejected)
         self._spawn_send(resp)
 
     # -- name-server failure detection -------------------------------------
@@ -591,11 +549,21 @@ class XememModule:
             ov.gc_deferred += 1
             obs.get().counter("overload.ns.gc_deferred").inc()
             return
-        ns = self.nameserver
-        for eid in ns.expired_enclaves(self.engine.now, lease):
-            purged = ns.gc_enclave(eid)
+        for eid in self.nameserver.expired_enclaves(self.engine.now, lease):
+            purged = self.gc_enclave(eid)
             obs.get().counter("xemem.ns.lease_gc").inc()
             obs.get().counter("xemem.ns.lease_gc_segids").inc(len(purged))
+
+    def gc_enclave(self, enclave_id: int) -> list:
+        """Name server: purge a dead enclave's segids; returns them."""
+        purged = self.nameserver.gc_enclave(enclave_id)
+        self._count_removed(len(purged))
+        return purged
+
+    @staticmethod
+    def _count_removed(n: int) -> None:
+        if n:
+            obs.get().counter("xemem.ns.segids_removed").inc(n)
 
     def _note_heartbeat(self, msg: KernelMessage) -> None:
         src = msg.payload.get("src")
@@ -613,8 +581,7 @@ class XememModule:
         if not self.is_name_server:
             raise XememError("restart_nameserver on a non-name-server enclave")
         self._ns_down_until = self.engine.now + outage_ns
-        self._served_responses.clear()
-        self._in_service.clear()
+        self.replay.clear()
         self.nameserver.restart_grace(self._ns_down_until)
         obs.get().counter("xemem.ns.restarts").inc()
 
@@ -670,24 +637,22 @@ class XememModule:
         yield from self._serve_admitted(msg, ov, self._dispatch_at_name_server)
 
     def _dispatch_at_name_server(self, msg: KernelMessage):
-        ns = self.nameserver
-        kind = msg.kind
+        kind, p = msg.kind, msg.payload
         if kind in C.SEGID_ADDRESSED:
             self._sweep_leases()
             try:
-                owner = ns.owner_of(msg.payload["segid"])
+                owner = self.nameserver.route(
+                    p["segid"], release=kind == C.RELEASE_REQ
+                )
             except XememError as err:
-                if kind == C.RELEASE_REQ:
-                    # releasing a grant on an already-removed segid is
-                    # fine: the grant is gone either way (idempotent)
-                    self._respond(msg, ok=True)
-                else:
-                    self._respond(msg, error=str(err))
+                self._respond(msg, error=str(err))
                 return
-            if owner == self.my_id:
+            if owner is None:
+                self._respond(msg, ok=True)
+            elif owner == self.my_id:
                 yield from self._serve(msg)
             else:
-                msg.payload["dst"] = owner
+                p["dst"] = owner
                 self._count_forward()
                 try:
                     yield from self._send(msg)
@@ -699,124 +664,93 @@ class XememModule:
             return
         if self._maybe_replay(msg):
             return
+        try:
+            fields = self._ns_command(msg)
+        except XememError as err:
+            fields = {"error": str(err)}
+        self._respond(msg, **fields)
+
+    def _ns_command(self, msg: KernelMessage) -> dict:
+        """One name-server command on the core; its response fields."""
+        ns, kind, p = self.nameserver, msg.kind, msg.payload
         if kind == C.ALLOC_SEGID:
-            try:
-                segid = ns.alloc_segid(
-                    msg.payload["src"],
-                    msg.payload["npages"],
-                    msg.payload.get("name"),
-                )
-                self._respond(msg, segid=int(segid))
-            except XememError as err:
-                self._respond(msg, error=str(err))
-            return
+            segid = ns.alloc_segid(p["src"], p["npages"], p.get("name"))
+            obs.get().counter("xemem.ns.segids_allocated").inc()
+            return {"segid": int(segid)}
         if kind == C.REMOVE_SEGID:
-            try:
-                ns.remove_segid(msg.payload["segid"], msg.payload["src"])
-                self._respond(msg, ok=True)
-            except XememError as err:
-                self._respond(msg, error=str(err))
-            return
+            self._count_removed(ns.remove_segid(p["segid"], p["src"]))
+            return {"ok": True}
         if kind == C.LOOKUP_NAME:
-            segid = ns.lookup_name(msg.payload["name"])
+            segid = ns.lookup_name(p["name"])
+            obs.get().counter("xemem.ns.lookups").inc()
             if self.overload is not None and segid is not None:
                 # feed the stale-bounded cache the ladder serves from
-                self.overload.lookup_cache[msg.payload["name"]] = (
-                    segid, self.engine.now,
-                )
-            self._respond(msg, segid=segid)
-            return
+                self.overload.lookup_cache[p["name"]] = (segid, self.engine.now)
+            return {"segid": segid}
         if kind == C.LIST_NAMES:
-            names = ns.list_names(msg.payload.get("prefix", ""))
-            self._respond(msg, names=names)
-            return
+            return {"names": ns.list_names(p.get("prefix", ""))}
         if kind == C.ENCLAVE_DEPART:
-            departing = msg.payload["src"]
-            purged = ns.segids_of(departing)
-            for sid in purged:
-                ns.remove_segid(sid, departing)
             # routing entries are purged by EnclaveSystem.shutdown_enclave
             # once the ack has been delivered (the ack still needs them)
-            self._respond(msg, purged_segids=len(purged))
-            return
+            purged = ns.depart(p["src"])
+            self._count_removed(purged)
+            return {"purged_segids": purged}
         raise XememError(f"name server cannot handle {kind!r}")
-        yield  # pragma: no cover
 
     # ----------------------------------------------------------------- serving
 
     def _serve(self, msg: KernelMessage):
         """Requests addressed to this enclave as a segment owner."""
-        kind = msg.kind
+        kind, p = msg.kind, msg.payload
         if kind == C.SEGID_NOTIFY:
             # one-way, no req_id: dedup does not apply
-            self._deliver_signal(msg.payload["segid"])
+            self._deliver_signal(p["segid"])
             return
         if self._maybe_replay(msg):
-            # a retried command we already served (or are serving): the
-            # replayed/original response answers it. Double-serving would
-            # double-count grants_out.
-            return
-        if kind == C.GET_REQ:
-            seg = self.segments.get(msg.payload["segid"])
-            if seg is None or seg.removed:
-                self._respond(msg, error="unknown or removed segid")
-                return
-            if not seg.permit.allows(msg.payload["write"], is_owner=False):
-                self._respond(msg, error="permission denied")
-                return
-            seg.grants_out += 1
-            self._respond(msg, npages=seg.npages)
             return
         if kind == C.ATTACH_REQ:
             yield from self._serve_attach(msg)
             return
+        try:
+            fields = self._owner_command(msg)
+        except XememError as err:
+            fields = {"error": str(err)}
+        self._respond(msg, **fields)
+
+    def _owner_command(self, msg: KernelMessage) -> dict:
+        """One owner-side command on the core; its response fields."""
+        owner, kind, p = self.owner, msg.kind, msg.payload
+        if kind == C.GET_REQ:
+            return {"npages": owner.grant(p["segid"], p["write"])}
         if kind == C.RELEASE_REQ:
-            seg = self.segments.get(msg.payload["segid"])
-            if seg is not None and seg.grants_out > 0:
-                seg.grants_out -= 1
-            self._respond(msg, ok=True)
-            return
-        if kind == C.NOTIFY_SUBSCRIBE:
-            segid = msg.payload["segid"]
-            if segid not in self.segments:
-                self._respond(msg, error="unknown segid")
-                return
-            subs = self._signal_subs.setdefault(segid, [])
-            if msg.payload["src"] not in subs:
-                subs.append(msg.payload["src"])
-            self._respond(msg, ok=True)
-            return
-        if kind == C.SIGNAL_REQ:
-            segid = msg.payload["segid"]
-            if segid not in self.segments:
-                self._respond(msg, error="unknown segid")
-                return
-            self._fan_out_signal(segid, exclude=None)
-            self._respond(msg, ok=True)
-            return
-        raise XememError(f"enclave {self.enclave.name!r} cannot serve {kind!r}")
+            owner.release(p["segid"])
+        elif kind == C.NOTIFY_SUBSCRIBE:
+            owner.subscribe(p["segid"], p["src"])
+        elif kind == C.SIGNAL_REQ:
+            self._fan_out_signal(p["segid"], owner.signal_targets(p["segid"]))
+        else:
+            raise XememError(f"enclave {self.enclave.name!r} cannot serve {kind!r}")
+        return {"ok": True}
 
     def _serve_attach(self, msg: KernelMessage):
         """Owner side of Fig. 3 steps 5–6: walk pages, return the PFN list."""
-        seg = self.segments.get(msg.payload["segid"])
-        if seg is None or seg.removed:
-            self._respond(msg, error="unknown or removed segid")
-            return
-        offset_pages = msg.payload["offset_pages"]
-        npages = msg.payload["npages"]
-        if offset_pages < 0 or npages <= 0 or offset_pages + npages > seg.npages:
-            self._respond(msg, error="attach range outside segment")
+        p = msg.payload
+        offset_pages, npages = p["offset_pages"], p["npages"]
+        try:
+            seg = self.owner.check_attach(p["segid"], offset_pages, npages)
+        except XememError as err:
+            self._respond(msg, error=str(err))
             return
         o = obs.get()
         with o.span("xemem.serve_attach", self.engine, track=self.enclave.name,
-                    npages=npages, req_id=msg.payload.get("req_id")):
+                    npages=npages, req_id=p.get("req_id")):
             pfns = yield from self.kernel.walk_for_export(
                 seg.proc, seg.vaddr + offset_pages * PAGE_SIZE, npages
             )
         o.counter("xemem.attach.served").inc()
         self.stats["attaches_served"] += 1
         resp = C.make_response(msg, self.my_id, pfns=pfns)
-        self._record_response(msg.payload.get("req_id"), resp)
+        self.replay.record(p.get("req_id"), resp, self._request_dedup_active())
         yield from self._send(resp)
 
     # ============================================================== user operations
@@ -833,6 +767,7 @@ class XememModule:
             yield self.engine.sleep(self.costs.export_fixed_ns)
             if self.is_name_server:
                 segid = self.nameserver.alloc_segid(self.my_id, npages, name)
+                o.counter("xemem.ns.segids_allocated").inc()
             else:
                 req_id = self._next_req_id()
                 sp.set(req_id=req_id)
@@ -845,19 +780,16 @@ class XememModule:
                 segid = SegmentId(resp.payload["segid"])
         o.counter("xemem.make.count").inc()
         seg = ExportedSegment(segid, proc, vaddr, npages, permit, name)
-        self.segments[int(segid)] = seg
+        self.owner.export(seg)
         return seg
 
     def remove(self, proc, seg: ExportedSegment):
         """Generator: ``xpmem_remove`` — retire the segid."""
-        if seg.proc is not proc:
-            raise XememError("only the exporting process may remove a segment")
-        if seg.removed:
-            raise XememError(f"{seg.segid!r} already removed")
-        seg.removed = True
-        self.segments.pop(int(seg.segid), None)
+        self.owner.retire(proc, seg)
         if self.is_name_server:
-            self.nameserver.remove_segid(int(seg.segid), self.my_id)
+            self._count_removed(
+                self.nameserver.remove_segid(int(seg.segid), self.my_id)
+            )
             yield self.engine.sleep(self.costs.detach_fixed_ns)
         else:
             yield from self._request(
@@ -875,6 +807,7 @@ class XememModule:
             if self.is_name_server:
                 yield self.engine.sleep(self.costs.detach_fixed_ns)
                 segid = self.nameserver.lookup_name(name)
+                o.counter("xemem.ns.lookups").inc()
             else:
                 req_id = self._next_req_id()
                 sp.set(req_id=req_id)
@@ -904,14 +837,11 @@ class XememModule:
         """Generator: ``xpmem_get`` — request access, returns an ApId."""
         o = obs.get()
         o.counter("xemem.get.count").inc()
-        local = self.segments.get(int(segid))
+        local = self.owner.owns(segid)
         with o.span("xemem.get", self.engine, track=self.enclave.name,
-                    local=local is not None) as sp:
-            if local is not None:
-                if not local.permit.allows(write, is_owner=local.proc is proc):
-                    raise PermissionError_(f"permission denied for {segid!r}")
-                local.grants_out += 1
-                npages = local.npages
+                    local=local) as sp:
+            if local:
+                npages = self.owner.grant(segid, write, proc=proc)
                 yield self.engine.sleep(self.costs.detach_fixed_ns)
             else:
                 req_id = self._next_req_id()
@@ -923,11 +853,9 @@ class XememModule:
                     )
                 )
                 npages = resp.payload["npages"]
-        apid = ApId((self.my_id << 20) | next(self._apid_counter))
-        self.grants.insert(
-            apid, segid, proc, npages, write, owner_is_local=local is not None
+        return self.attacher.add_grant(
+            self.my_id, segid, proc, npages, write, owner_is_local=local
         )
-        return apid
 
     def release(self, proc, apid: ApId):
         """Generator: ``xpmem_release`` — drop a grant.
@@ -935,18 +863,9 @@ class XememModule:
         Refused while attachments made under the grant are still mapped
         (XPMEM semantics: detach before release)."""
         obs.get().counter("xemem.release.count").inc()
-        grant = self._grant_of(proc, apid)
-        if self._live_attachments.get(int(apid), 0) > 0:
-            raise XememError(
-                f"{apid!r} still has {self._live_attachments[int(apid)]} live "
-                "attachment(s); xpmem_detach them first"
-            )
-        grant.released = True
-        del self.grants[int(apid)]
+        grant = self.attacher.release(proc, apid)
         if grant.owner_is_local:
-            seg = self.segments.get(int(grant.segid))
-            if seg is not None and seg.grants_out > 0:
-                seg.grants_out -= 1
+            self.owner.release(grant.segid)
             yield self.engine.sleep(self.costs.detach_fixed_ns)
         else:
             yield from self._request(
@@ -963,17 +882,8 @@ class XememModule:
         Kitten, a lazy VMA on Linux); remote segments run the full Fig. 3
         protocol and map the returned PFN list eagerly.
         """
-        grant = self._grant_of(proc, apid)
-        if offset % PAGE_SIZE:
-            raise XememError(f"attach offset {offset:#x} not page aligned")
-        offset_pages = offset // PAGE_SIZE
-        npages = (
-            grant.npages - offset_pages
-            if nbytes is None
-            else -(-nbytes // PAGE_SIZE)
-        )
-        if offset_pages < 0 or npages <= 0 or offset_pages + npages > grant.npages:
-            raise XememError("attach range outside segment")
+        grant = self.attacher.grant_of(proc, apid)
+        offset_pages, npages = self.attacher.window(grant, offset, nbytes)
         o = obs.get()
         t0 = self.engine.now
         with o.span("xemem.attach", self.engine, track=self.enclave.name,
@@ -985,18 +895,11 @@ class XememModule:
                 attached = yield from self._attach_remote(
                     proc, grant, offset_pages, npages, span=sp
                 )
-        if self.grants.get(int(grant.apid)) is not grant:
+        if not self.attacher.register(grant, attached):
             # The grant was invalidated (its owner enclave crashed) while
             # we were mapping: tear the half-made attachment back down
             # instead of registering a mapping into dead memory.
-            attached.detached = True
-            if attached.region is not None:
-                aspace = proc.aspace
-                if attached.region in aspace.regions:
-                    if attached.region.populated == attached.region.npages:
-                        aspace.unmap_region(attached.region)
-                    else:
-                        aspace.unmap_populated_pages(attached.region)
+            self._tear_down(attached)
             raise XememError(
                 f"{grant.apid!r} invalidated while attaching (owner crashed)"
             )
@@ -1004,20 +907,14 @@ class XememModule:
         o.counter("xemem.attach.pages").inc(npages)
         o.histogram("xemem.attach.ns").observe(self.engine.now - t0)
         self.stats["attaches_made"] += 1
-        self._live_attachments.bump(int(grant.apid), 1)
-        self._attachments_by_apid.setdefault(int(grant.apid), []).append(attached)
         return attached
 
-    def _attach_local(self, proc, grant: ApGrant, offset_pages: int, npages: int):
-        seg = self.segments.get(int(grant.segid))
-        if seg is None or seg.removed:
-            raise XememError(f"{grant.segid!r} removed")
+    def _attach_local(self, proc, grant: Grant, offset_pages: int, npages: int):
+        seg = self.owner.live(grant.segid)
         if self.kernel.kernel_type == "kitten":
             # SMARTMAP: O(1) whole-address-space aliasing (§4.3)
-            key = (proc.pid, seg.proc.pid)
-            if self._smartmap_refs.get(key, 0) == 0:
+            if self.attacher.smartmap_ref((proc.pid, seg.proc.pid)):
                 self.kernel.smartmap_attach(proc, seg.proc)
-            self._smartmap_refs[key] = self._smartmap_refs.get(key, 0) + 1
             vaddr = self.kernel.smartmap_address(
                 seg.proc, seg.vaddr + offset_pages * PAGE_SIZE
             )
@@ -1046,7 +943,7 @@ class XememModule:
             kind="linux-lazy", region=region, local_pfns=pfns, view=view,
         )
 
-    def _attach_remote(self, proc, grant: ApGrant, offset_pages: int,
+    def _attach_remote(self, proc, grant: Grant, offset_pages: int,
                        npages: int, span=NULL_SPAN):
         # The req_id is allocated here (not in attach()) so the id
         # sequence is stable; the open attach span gets it as a journey
@@ -1083,32 +980,31 @@ class XememModule:
 
     def detach(self, proc, attached: AttachedRegion):
         """Generator: ``xpmem_detach`` — unmap an attachment."""
-        if attached.detached:
-            raise XememError("already detached")
-        if attached.proc is not proc:
-            raise XememError("only the attaching process may detach")
+        self.attacher.detach(proc, attached)
         obs.get().counter("xemem.detach.count").inc()
-        attached.detached = True
-        live = self._live_attachments.get(int(attached.apid), 0)
-        if live > 0:
-            self._live_attachments[int(attached.apid)] = live - 1
-        registry = self._attachments_by_apid.get(int(attached.apid))
-        if registry is not None and attached in registry:
-            registry.remove(attached)
         if attached.kind == "smartmap":
-            key = (proc.pid, attached.smartmap_donor.pid)
-            refs = self._smartmap_refs.get(key, 0)
-            if refs <= 0:
-                raise XememError("SMARTMAP refcount underflow")
-            self._smartmap_refs[key] = refs - 1
-            if refs == 1:
-                self.kernel.smartmap_detach(proc, attached.smartmap_donor)
+            donor = attached.smartmap_donor
+            if self.attacher.smartmap_unref((proc.pid, donor.pid)):
+                self.kernel.smartmap_detach(proc, donor)
             yield self.engine.sleep(self.costs.detach_fixed_ns)
             return
         yield from self.kernel.unmap_attachment(proc, attached.region)
         if attached.kind == "remote" and getattr(self.kernel, "virtualized", False):
             # drop the guest-physical alias Palacios created for this attach
             yield from self.kernel.vmm.unmap_guest_attachment(attached.local_pfns)
+
+    def _tear_down(self, att: AttachedRegion) -> None:
+        """Unmap an attachment into memory that is gone, at no protocol
+        cost (a half-populated region unmaps only what it populated)."""
+        att.detached = True
+        region = att.region
+        if region is not None:
+            aspace = att.proc.aspace
+            if region in aspace.regions:
+                if region.populated == region.npages:
+                    aspace.unmap_region(region)
+                else:
+                    aspace.unmap_populated_pages(region)
 
     # ================================================== event-notification extension
     #
@@ -1131,16 +1027,14 @@ class XememModule:
         else:
             cell[0] += 1
 
-    def _fan_out_signal(self, segid: int, exclude) -> None:
+    def _fan_out_signal(self, segid: int, targets) -> None:
         """Owner side: wake local waiters, notify remote subscribers.
 
         Notifications are lossy toward departed enclaves (their routes
         are gone); that mirrors real doorbells — nobody is listening.
         """
         self._deliver_signal(segid)
-        for enclave_id in self._signal_subs.get(int(segid), []):
-            if enclave_id == exclude:
-                continue
+        for enclave_id in targets:
             msg = C.make_command(
                 C.SEGID_NOTIFY, self.my_id, enclave_id, segid=int(segid)
             )
@@ -1160,7 +1054,7 @@ class XememModule:
         waiters subscribe once and then receive every signal as a routed
         one-way message.
         """
-        if int(segid) in self.segments:
+        if self.owner.owns(segid):
             yield self.engine.sleep(self.costs.detach_fixed_ns)
             return True
         yield from self._request(
@@ -1173,8 +1067,8 @@ class XememModule:
 
     def signal(self, proc, segid: SegmentId):
         """Generator: ring the segid's doorbell (wakes all waiters once)."""
-        if int(segid) in self.segments:
-            self._fan_out_signal(int(segid), exclude=None)
+        if self.owner.owns(segid):
+            self._fan_out_signal(int(segid), self.owner.signal_targets(segid))
             yield self.engine.sleep(self.costs.detach_fixed_ns)
             return
         yield from self._request(
@@ -1208,13 +1102,21 @@ class XememModule:
         the departure half. All locally exported segments are retired at
         the name server. By default, shutdown refuses while other
         enclaves hold grants on local segments (their mappings would
-        dangle); ``force=True`` overrides for failure-injection tests.
+        dangle) and while this enclave holds grants on theirs (the
+        owners would count them forever); ``force=True`` overrides for
+        failure-injection tests.
         """
-        outstanding = sum(seg.grants_out for seg in self.segments.values())
+        outstanding = self.owner.outstanding_grants()
         if outstanding and not force:
             raise XememError(
                 f"enclave {self.enclave.name!r} has {outstanding} outstanding "
                 "grant(s) on its segments; detach/release first (or force)"
+            )
+        held = self.attacher.remote_grants()
+        if held and not force:
+            raise XememError(
+                f"enclave {self.enclave.name!r} holds {held} grant(s) on "
+                "other enclaves' segments; detach/release first (or force)"
             )
         if self.is_name_server:
             raise XememError("the name-server enclave cannot depart")
@@ -1229,7 +1131,6 @@ class XememModule:
             # otherwise hang forever against a departed enclave.
             self._fail_waiters(XememError(f"enclave {self.enclave.name!r} departed"))
         self._drop_registration_state()
-        self._apid_counter = itertools.count(1)
         return True
 
     def _fail_waiters(self, err: XememError) -> None:
@@ -1253,16 +1154,11 @@ class XememModule:
         """Drop *all* per-registration state, not just the segments: stale
         grants, attachment refcounts, and signal subscriptions must not
         survive into a later re-join of the same enclave."""
-        self.segments.clear()
-        self.grants.clear()
-        self._live_attachments.clear()
-        self._attachments_by_apid.clear()
-        self._smartmap_refs.clear()
-        self._signal_subs.clear()
+        self.owner.clear()
+        self.attacher.clear()
+        self.replay.clear()
         self._signal_state.clear()
         self._forwarded.clear()
-        self._served_responses.clear()
-        self._in_service.clear()
         self.routing.discovered = False
 
     def crash(self) -> None:
@@ -1281,8 +1177,8 @@ class XememModule:
             recorder.note(
                 "xemem.module.crashed", self.engine.now,
                 enclave=self.enclave.name,
-                segments=len(self.segments),
-                live_attachments=len(self._live_attachments),
+                segments=len(self.owner.segments),
+                live_attachments=len(self.attacher.attachments),
             )
         self._fail_waiters(XememError(f"enclave {self.enclave.name!r} crashed"))
         self._drop_registration_state()
@@ -1298,70 +1194,25 @@ class XememModule:
         ``dead_segids`` — segids the crashed enclave owned (its exports);
         ``pfn_window`` — the dead enclave's physical partition ``(lo, hi)``,
         catching attachments whose segid records predate the crash (e.g.
-        already-GC'd at the name server). The PTEs are unmapped
-        synchronously (a real implementation would IPI-shootdown; the
-        crash path charges no protocol cost — the frames are gone either
-        way). Foreign frames are never freed here; the crashed kernel's
-        teardown reclaims them. Returns the number of attachments torn
-        down.
+        already-GC'd at the name server). Guest-side attachments carry
+        guest-physical PFNs unrelated to host frames, so a VM matches by
+        segid only. The PTEs are unmapped synchronously (a real
+        implementation would IPI-shootdown; the crash path charges no
+        protocol cost — the frames are gone either way). Foreign frames
+        are never freed here; the crashed kernel's teardown reclaims
+        them. Returns the number of attachments torn down.
         """
-        dead_segids = {int(s) for s in dead_segids}
-        lo, hi = pfn_window
-        dropped = 0
-        virtualized = getattr(self.kernel, "virtualized", False)
-        for apid, grant in list(self.grants.items()):
-            if grant.owner_is_local:
-                continue
-            dead = int(grant.segid) in dead_segids
-            registry = self._attachments_by_apid.get(apid, [])
-            for att in list(registry):
-                # Guest-side attachments carry guest-physical PFNs whose
-                # numbering is unrelated to host frames; match those by
-                # segid only.
-                in_window = (
-                    not virtualized
-                    and att.local_pfns is not None
-                    and len(att.local_pfns) > 0
-                    and lo <= int(att.local_pfns[0]) < hi
-                )
-                if dead or in_window:
-                    self._invalidate_attachment(att)
-                    registry.remove(att)
-                    dropped += 1
-            if dead:
-                self.grants.pop(apid, None)
-                self._live_attachments.pop(apid, None)
-                self._attachments_by_apid.pop(apid, None)
+        torn = self.attacher.invalidate(
+            {int(s) for s in dead_segids}, pfn_window,
+            match_pfns=not getattr(self.kernel, "virtualized", False),
+        )
+        for att in torn:
+            self._tear_down(att)
         if crashed_enclave_id is not None:
-            for subs in self._signal_subs.values():
-                if crashed_enclave_id in subs:
-                    subs.remove(crashed_enclave_id)
-        if dropped:
-            obs.get().counter("faults.attachments.invalidated").inc(dropped)
-        return dropped
-
-    def _invalidate_attachment(self, att: AttachedRegion) -> None:
-        if att.detached:
-            return
-        att.detached = True
-        live = self._live_attachments.get(int(att.apid), 0)
-        if live > 0:
-            self._live_attachments[int(att.apid)] = live - 1
-        if att.region is not None:
-            aspace = att.proc.aspace
-            if att.region in aspace.regions:
-                if att.region.populated == att.region.npages:
-                    aspace.unmap_region(att.region)
-                else:
-                    aspace.unmap_populated_pages(att.region)
-
-    def _grant_of(self, proc, apid: ApId) -> ApGrant:
-        grant = self.grants.get(int(apid))
-        if grant is None:
-            raise XememError(f"unknown {apid!r}")
-        if grant.proc is not proc:
-            raise XememError(f"{apid!r} belongs to {grant.proc!r}")
-        return grant
+            self.owner.forget_subscriber(crashed_enclave_id)
+        if torn:
+            obs.get().counter("faults.attachments.invalidated").inc(len(torn))
+        return len(torn)
 
 
 def install_xemem(system, run_discovery_now: bool = True) -> Dict[str, XememModule]:

@@ -12,6 +12,10 @@ enclave. It is the single authority for:
   segments, queryable by any process on any enclave ("the name server
   can be queried for information regarding the existence and names of
   shared memory regions").
+
+It is engine-free protocol core, like :mod:`repro.xemem.core`: the
+hosting :class:`~repro.xemem.module.XememModule` routes the name-server
+commands here and does the sending and counting.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.xemem.ids import SEGID_BASE, SegmentId, XememError
 
 
@@ -42,8 +45,6 @@ class NameServer:
         self._next_segid = SEGID_BASE
         self.segids: Dict[int, SegidRecord] = {}
         self._names: Dict[str, int] = {}
-        #: enclave id -> channel, maintained by the NS enclave's module.
-        self.stats = {"segids_allocated": 0, "lookups": 0, "removed": 0}
         # -- failure detection (fault-injection extension) --
         #: enclave id -> virtual time of its last heartbeat beacon
         self.last_heartbeat_ns: Dict[int, int] = {}
@@ -67,7 +68,6 @@ class NameServer:
         """Hand out the next enclave ID (discovery protocol)."""
         eid = self._next_enclave_id
         self._next_enclave_id += 1
-        obs.get().counter("xemem.ns.enclave_ids").inc()
         return eid
 
     # -- segids ------------------------------------------------------------------
@@ -86,8 +86,6 @@ class NameServer:
         self._segids_by_owner.setdefault(owner_enclave_id, set()).add(int(segid))
         if name is not None:
             self._names[name] = int(segid)
-        self.stats["segids_allocated"] += 1
-        obs.get().counter("xemem.ns.segids_allocated").inc()
         return segid
 
     def owner_of(self, segid: int) -> int:
@@ -102,12 +100,24 @@ class NameServer:
             raise XememError(f"unknown segid {int(segid):#x}")
         return rec.owner_enclave_id
 
-    def remove_segid(self, segid: int, enclave_id: int) -> None:
-        """Retire a segid; only its owner enclave may do so."""
+    def route(self, segid: int, release: bool = False) -> Optional[int]:
+        """The owner a segid-addressed command is forwarded to. A release
+        of an unknown or retired segid resolves to None: the grant is
+        gone either way, so the name server answers it ok (idempotent)."""
+        try:
+            return self.owner_of(segid)
+        except XememError:
+            if release:
+                return None
+            raise
+
+    def remove_segid(self, segid: int, enclave_id: int) -> bool:
+        """Retire a segid; only its owner enclave may do so. Returns
+        False if it was already retired with its crashed owner."""
         rec = self.segids.get(int(segid))
         if rec is None:
             if int(segid) in self._retired_segids:
-                return  # already GC'd with its crashed owner: idempotent
+                return False  # already GC'd with its crashed owner: idempotent
             raise XememError(f"unknown segid {int(segid):#x}")
         if rec.owner_enclave_id != enclave_id:
             raise XememError(
@@ -119,8 +129,15 @@ class NameServer:
             owned.discard(int(segid))
         if rec.name is not None:
             self._names.pop(rec.name, None)
-        self.stats["removed"] += 1
-        obs.get().counter("xemem.ns.segids_removed").inc()
+        return True
+
+    def depart(self, enclave_id: int) -> int:
+        """``ENCLAVE_DEPART``: retire every segid the enclave owns;
+        returns how many."""
+        purged = self.segids_of(enclave_id)
+        for sid in purged:
+            self.remove_segid(sid, enclave_id)
+        return len(purged)
 
     def segids_of(self, owner_enclave_id: int) -> list:
         """Sorted segids currently owned by ``owner_enclave_id``
@@ -129,15 +146,12 @@ class NameServer:
 
     def lookup_name(self, name: str) -> Optional[int]:
         """Discoverability: segid registered under ``name``, or None."""
-        self.stats["lookups"] += 1
-        obs.get().counter("xemem.ns.lookups").inc()
         return self._names.get(name)
 
     def list_names(self, prefix: str = "") -> Dict[str, int]:
         """Discoverability: every registered name (optionally filtered by
         prefix) with its segid — "the existence and names of shared
         memory regions" (§3.1)."""
-        self.stats["lookups"] += 1
         return {
             name: segid
             for name, segid in sorted(self._names.items())
@@ -189,11 +203,8 @@ class NameServer:
             if rec.name is not None:
                 self._names.pop(rec.name, None)
             self._retired_segids.add(sid)
-            self.stats["removed"] += 1
         self.retired_enclaves.add(enclave_id)
         self.last_heartbeat_ns.pop(int(enclave_id), None)
-        if purged:
-            obs.get().counter("xemem.ns.segids_removed").inc(len(purged))
         return purged
 
     def restart_grace(self, now_ns: int) -> None:

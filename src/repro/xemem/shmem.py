@@ -17,7 +17,7 @@ costs even though the view could already read the bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -63,339 +63,6 @@ class ExportedSegment:
                 f"{fault.vaddr:#x}); touch the region before reading it"
             ) from fault
         return self.proc.kernel.mem.map_region(pfns)
-
-
-#: Packed per-grant flag bits (the GrantTable flag column).
-_GF_LIVE = 0x1
-_GF_WRITE = 0x2
-_GF_OWNER_LOCAL = 0x4
-_GF_RELEASED = 0x8
-
-_MISSING = object()
-
-
-class ApGrant:
-    """Attacher-side record of an ``xpmem_get`` grant.
-
-    A stable view onto one :class:`GrantTable` row: scalar state lives
-    in the table's columns and is read through properties, so the same
-    object is returned for every lookup of the apid (the attach path
-    detects mid-flight invalidation by identity). When the row is
-    dropped from the table the view freezes its final field values, so
-    holders of a dead grant still read consistent state.
-    """
-
-    __slots__ = ("_table", "_row", "apid", "segid", "_frozen")
-
-    def __init__(self, table: "GrantTable", row: int, apid: ApId, segid: SegmentId):
-        self._table = table
-        self._row = row
-        self.apid = apid
-        self.segid = segid
-        self._frozen = None
-
-    def _detach(self) -> None:
-        """Freeze column-backed fields before the table recycles the row."""
-        t = self._table
-        self._frozen = (t._procs[self._row], int(t._npages[self._row]),
-                        int(t._flags[self._row]))
-        self._row = -1
-
-    @property
-    def proc(self) -> OSProcess:
-        if self._row < 0:
-            return self._frozen[0]
-        return self._table._procs[self._row]
-
-    @property
-    def npages(self) -> int:
-        if self._row < 0:
-            return self._frozen[1]
-        return int(self._table._npages[self._row])
-
-    def _flag(self, bit: int) -> bool:
-        flags = self._frozen[2] if self._row < 0 else int(self._table._flags[self._row])
-        return bool(flags & bit)
-
-    @property
-    def write(self) -> bool:
-        return self._flag(_GF_WRITE)
-
-    @property
-    def owner_is_local(self) -> bool:
-        return self._flag(_GF_OWNER_LOCAL)
-
-    @property
-    def released(self) -> bool:
-        return self._flag(_GF_RELEASED)
-
-    @released.setter
-    def released(self, value: bool) -> None:
-        if self._row < 0:
-            flags = self._frozen[2]
-            flags = flags | _GF_RELEASED if value else flags & ~_GF_RELEASED
-            self._frozen = (self._frozen[0], self._frozen[1], flags)
-        elif value:
-            self._table._flags[self._row] |= _GF_RELEASED
-        else:
-            self._table._flags[self._row] &= 0xFF ^ _GF_RELEASED
-
-    def __repr__(self) -> str:
-        return (
-            f"ApGrant({self.apid!r}, {self.segid!r}, {self.npages}p, "
-            f"write={self.write}, local={self.owner_is_local})"
-        )
-
-
-class GrantTable:
-    """Columnar (structure-of-arrays) grant list.
-
-    The dict-of-dataclasses this replaces made every audit sweep a
-    python loop over record objects. Here the scalar grant state lives
-    in flat columns — apid/segid/npages ``int64`` plus one packed flag
-    byte — while identity-bearing references (the owning process, the
-    stable :class:`ApGrant` views) stay in object columns. An
-    apid → row dict keeps lookups O(1); the audit invariants
-    (released-but-registered, per-segid grant balance) become single
-    vectorized masks over the columns. Rows are recycled through a
-    free list, so capacity tracks the peak live grant count.
-
-    The mapping surface mirrors the dict it replaced (``get``/``in``/
-    ``items``/``values``/``len``/``== {}``), so callers and tests are
-    unchanged.
-    """
-
-    def __init__(self) -> None:
-        self._apids = np.empty(0, dtype=np.int64)
-        self._segids = np.empty(0, dtype=np.int64)
-        self._npages = np.empty(0, dtype=np.int64)
-        self._flags = np.zeros(0, dtype=np.uint8)
-        self._procs: List[Optional[OSProcess]] = []
-        self._views: List[Optional[ApGrant]] = []
-        self._index: Dict[int, int] = {}
-        self._free: List[int] = []
-
-    # -- row management -------------------------------------------------------
-
-    def _new_row(self) -> int:
-        if self._free:
-            return self._free.pop()
-        used = len(self._procs)
-        if used == len(self._apids):
-            newcap = max(2 * used, 16)
-            for name in ("_apids", "_segids", "_npages"):
-                col = np.zeros(newcap, dtype=np.int64)
-                col[:used] = getattr(self, name)
-                setattr(self, name, col)
-            flags = np.zeros(newcap, dtype=np.uint8)
-            flags[:used] = self._flags
-            self._flags = flags
-        self._procs.append(None)
-        self._views.append(None)
-        return used
-
-    def insert(self, apid: ApId, segid: SegmentId, proc: OSProcess,
-               npages: int, write: bool, owner_is_local: bool) -> ApGrant:
-        """Register a grant; returns its stable :class:`ApGrant` view."""
-        key = int(apid)
-        if key in self._index:
-            raise ValueError(f"apid {key} already granted")
-        row = self._new_row()
-        self._apids[row] = key
-        self._segids[row] = int(segid)
-        self._npages[row] = npages
-        self._flags[row] = (
-            _GF_LIVE
-            | (_GF_WRITE if write else 0)
-            | (_GF_OWNER_LOCAL if owner_is_local else 0)
-        )
-        self._procs[row] = proc
-        view = ApGrant(self, row, apid, segid)
-        self._views[row] = view
-        self._index[key] = row
-        return view
-
-    def pop(self, apid, default=None):
-        """Drop a grant; its view freezes and the row is recycled."""
-        row = self._index.pop(int(apid), None)
-        if row is None:
-            return default
-        view = self._views[row]
-        view._detach()
-        self._flags[row] = 0
-        self._procs[row] = None
-        self._views[row] = None
-        self._free.append(row)
-        return view
-
-    def clear(self) -> None:
-        for row in self._index.values():
-            self._views[row]._detach()
-        self._index.clear()
-        self._flags[:] = 0
-        self._procs = []
-        self._views = []
-        self._free = []
-
-    # -- mapping surface ------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __bool__(self) -> bool:
-        return bool(self._index)
-
-    def __contains__(self, apid) -> bool:
-        return int(apid) in self._index
-
-    def __iter__(self):
-        return iter(self._index)
-
-    def keys(self):
-        return self._index.keys()
-
-    def get(self, apid, default=None):
-        row = self._index.get(int(apid))
-        return default if row is None else self._views[row]
-
-    def __getitem__(self, apid) -> ApGrant:
-        return self._views[self._index[int(apid)]]
-
-    def __delitem__(self, apid) -> None:
-        if self.pop(apid, _MISSING) is _MISSING:
-            raise KeyError(apid)
-
-    def values(self) -> List[ApGrant]:
-        return [self._views[row] for row in self._index.values()]
-
-    def items(self) -> List:
-        return [(key, self._views[row]) for key, row in self._index.items()]
-
-    def __eq__(self, other):
-        if isinstance(other, GrantTable):
-            other = dict(other.items())
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"GrantTable({len(self._index)} live, {len(self._procs)} rows)"
-
-    # -- vectorized audit taps ------------------------------------------------
-
-    def released_apids(self) -> np.ndarray:
-        """Apids still registered but flagged released (one mask pass)."""
-        want = np.uint8(_GF_LIVE | _GF_RELEASED)
-        return self._apids[np.flatnonzero((self._flags & want) == want)]
-
-    def counts_by_segid(self, owner_local_only: bool = False) -> Dict[int, int]:
-        """Live-grant count per segid — one vectorized unique pass."""
-        want = np.uint8(_GF_LIVE | (_GF_OWNER_LOCAL if owner_local_only else 0))
-        rows = np.flatnonzero((self._flags & want) == want)
-        segids, counts = np.unique(self._segids[rows], return_counts=True)
-        return dict(zip(segids.tolist(), counts.tolist()))
-
-
-class LiveCounts:
-    """Columnar apid → live-attachment counter map.
-
-    Same structure-of-arrays treatment as :class:`GrantTable` for the
-    attachment refcounts: keys and counts are flat ``int64`` columns
-    behind an apid → row dict, so the audit's negative-count sweep is
-    one vectorized comparison. The dict surface (``get``/``[...]``/
-    ``pop``/``items``/``== {}``) matches the plain dict it replaced —
-    including keeping zero-count keys until popped or cleared.
-    """
-
-    def __init__(self) -> None:
-        self._apids = np.empty(0, dtype=np.int64)
-        self._counts = np.zeros(0, dtype=np.int64)
-        self._index: Dict[int, int] = {}
-        self._free: List[int] = []
-        self._used = 0
-
-    def _new_row(self) -> int:
-        if self._free:
-            return self._free.pop()
-        if self._used == len(self._apids):
-            newcap = max(2 * self._used, 16)
-            apids = np.zeros(newcap, dtype=np.int64)
-            counts = np.zeros(newcap, dtype=np.int64)
-            apids[: self._used] = self._apids
-            counts[: self._used] = self._counts
-            self._apids, self._counts = apids, counts
-        row = self._used
-        self._used += 1
-        return row
-
-    def __setitem__(self, apid, count: int) -> None:
-        key = int(apid)
-        row = self._index.get(key)
-        if row is None:
-            row = self._new_row()
-            self._apids[row] = key
-            self._index[key] = row
-        self._counts[row] = count
-
-    def __getitem__(self, apid) -> int:
-        return int(self._counts[self._index[int(apid)]])
-
-    def get(self, apid, default=None):
-        row = self._index.get(int(apid))
-        return default if row is None else int(self._counts[row])
-
-    def bump(self, apid, delta: int) -> int:
-        """Add ``delta`` to the apid's count (creating it at 0)."""
-        key = int(apid)
-        row = self._index.get(key)
-        if row is None:
-            self[key] = delta
-            return delta
-        self._counts[row] += delta
-        return int(self._counts[row])
-
-    def pop(self, apid, default=None):
-        row = self._index.pop(int(apid), None)
-        if row is None:
-            return default
-        count = int(self._counts[row])
-        self._counts[row] = 0
-        self._free.append(row)
-        return count
-
-    def clear(self) -> None:
-        self._index.clear()
-        self._counts[:] = 0
-        self._free = []
-        self._used = 0
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __bool__(self) -> bool:
-        return bool(self._index)
-
-    def __contains__(self, apid) -> bool:
-        return int(apid) in self._index
-
-    def items(self) -> List:
-        return [(key, int(self._counts[row])) for key, row in self._index.items()]
-
-    def __eq__(self, other):
-        if isinstance(other, LiveCounts):
-            other = dict(other.items())
-        if isinstance(other, dict):
-            return dict(self.items()) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"LiveCounts({dict(self.items())!r})"
-
-    def negative_apids(self) -> np.ndarray:
-        """Apids whose live count went negative (audit tap; vectorized)."""
-        live = np.full(self._used, False)
-        live[list(self._index.values())] = True
-        return self._apids[: self._used][live & (self._counts[: self._used] < 0)]
 
 
 @dataclass

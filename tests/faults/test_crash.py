@@ -74,7 +74,7 @@ def test_survivor_attachments_invalidated_on_crash():
     with pytest.raises(RuntimeError):
         att.read(0, 8)
     # the survivor's module dropped the dead grant entirely
-    assert rig.linux.module.grants == {}
+    assert rig.linux.module.attacher.grants == {}
     ns = rig.system.name_server_enclave.module.nameserver
     with pytest.raises(XememError, match="retired"):
         ns.owner_of(int(segid))
@@ -89,7 +89,7 @@ def test_survivors_keep_working_after_crash():
     assert rig.engine.faults.counts["crashes"] == 1
     # a fresh full cycle against the surviving co-kernel succeeds
     module, segid = eng.run_process(table1_cycle(rig, exporter_idx=1))
-    assert module.segments[int(segid)].grants_out == 0
+    assert module.owner.segments[int(segid)].grants_out == 0
     rig.auditor.auditor.audit_now(eng.now, quiescent=True)
 
 
@@ -144,14 +144,14 @@ def test_nameserver_restart_drops_then_recovers():
     module, segid = rig.engine.run_process(table1_cycle(rig))
     rig.engine.run()
     assert rig.engine.faults.counts["ns_restarts"] == 1
-    assert module.segments[int(segid)].grants_out == 0
+    assert module.owner.segments[int(segid)].grants_out == 0
     assert rig.engine.queue_len == 0
     # a restart wipes the replay/dedup caches (the cycle above refilled
     # them after the scheduled restart fired)
     ns_module = rig.system.name_server_enclave.module
-    assert ns_module._served_responses
+    assert ns_module.replay.served
     ns_module.restart_nameserver()
-    assert ns_module._served_responses == {} and ns_module._in_service == set()
+    assert ns_module.replay.served == {} and ns_module.replay.in_service == set()
 
 
 def test_crash_unknown_target_is_skipped():
@@ -165,7 +165,7 @@ def test_crash_unknown_target_is_skipped():
     assert rig.engine.faults.counts["crashes"] == 0
     # the rig is untouched: a normal cycle still runs
     module, segid = rig.engine.run_process(table1_cycle(rig))
-    assert module.segments[int(segid)].grants_out == 0
+    assert module.owner.segments[int(segid)].grants_out == 0
 
 
 def test_force_shutdown_fails_inflight_requests():

@@ -38,7 +38,7 @@ def test_total_duplication_is_deduplicated():
     rig = build_rig(plan=plan)
     module, segid = rig.engine.run_process(table1_cycle(rig))
     rig.engine.run()
-    seg = module.segments[int(segid)]
+    seg = module.owner.segments[int(segid)]
     assert seg.grants_out == 0  # the duplicated RELEASE did not double-free
     assert rig.engine.faults.counts["msgs_duplicated"] > 0
     # a duplicated response for an already-answered req_id is dropped, not
@@ -56,7 +56,7 @@ def test_delay_slows_but_completes():
     plan = FaultPlan.parse("delay=1.0:100us,timeout=50ms,retries=0", seed=0)
     rig = build_rig(plan=plan)
     module, segid = rig.engine.run_process(table1_cycle(rig))
-    assert module.segments[int(segid)].grants_out == 0
+    assert module.owner.segments[int(segid)].grants_out == 0
     assert rig.engine.now > base_end
     assert rig.engine.faults.counts["msgs_delayed"] > 0
 
@@ -65,7 +65,7 @@ def test_ipi_loss_is_retransmitted():
     plan = FaultPlan.parse("ipiloss=0.5,timeout=50ms,retries=0", seed=0)
     rig = build_rig(plan=plan)
     module, segid = rig.engine.run_process(table1_cycle(rig))
-    assert module.segments[int(segid)].grants_out == 0  # cycle completed
+    assert module.owner.segments[int(segid)].grants_out == 0  # cycle completed
     assert rig.engine.faults.counts["ipi_lost"] > 0
 
 

@@ -71,8 +71,8 @@ def test_injected_refcount_imbalance_detected_with_span_context():
         assert auditor.tracer is not None
         # corrupt: the owner forgets it handed out the grant
         module = rig.cokernels[0].module
-        (segid,) = module.segments
-        module.segments[segid].grants_out = 0
+        (segid,) = module.owner.segments
+        module.owner.segments[segid].grants_out = 0
         with pytest.raises(AuditViolation) as ei:
             auditor.audit_now(now_ns=rig.engine.now, quiescent=True)
     v = ei.value
@@ -84,16 +84,18 @@ def test_injected_refcount_imbalance_detected_with_span_context():
     assert "recent:" in str(v)
 
 
-def test_negative_and_dangling_attachment_counts_detected():
+def test_dangling_attachments_and_released_grant_detected():
     rig = build_cokernel_system(with_audit=True)
-    _attach_scenario(rig)
-    module = rig.linux.module
-    module._live_attachments[99999] = 3  # live attachments, no grant
+    _attach_scenario(rig, detach=False)
+    attacher = rig.linux.module.attacher
+    attacher.attachments[99999] = [object()] * 3  # live attachments, no grant
     violations = rig.auditor.auditor.check()
-    assert any("no grant" in v.detail for v in violations)
-    module._live_attachments[99999] = -1
+    assert any("3 live attachments but no grant" in v.detail for v in violations)
+    del attacher.attachments[99999]
+    (grant,) = attacher.grants.values()
+    grant.released = True  # released, yet still registered
     violations = rig.auditor.auditor.check()
-    assert any("negative" in v.detail for v in violations)
+    assert any("released but still registered" in v.detail for v in violations)
 
 
 def test_mapped_pfn_on_free_list_detected():

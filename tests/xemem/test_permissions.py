@@ -111,7 +111,7 @@ def test_writable_grant_still_works_end_to_end():
 
     att.write(0, b"ok!!")
     exporter_view = None
-    for seg in kitten.module.segments.values():
+    for seg in kitten.module.owner.segments.values():
         if seg.segid == segid:
             exporter_view = seg.view()
     assert exporter_view.read(0, 4) == b"ok!!"

@@ -1,6 +1,8 @@
 """Departure must not leak per-registration module state (stale grants,
 attachment refcounts, signal plumbing, apid counters)."""
 
+import pytest
+
 from repro.hw.costs import PAGE_4K
 from repro.xemem import XememError, XpmemApi
 
@@ -24,18 +26,18 @@ def test_shutdown_clears_all_module_state():
 
     eng.run_process(setup())
     module = attacher.module
-    assert module.grants and module._live_attachments  # state exists to clear
+    assert module.attacher.grants and module.attacher.attachments  # state exists to clear
 
     system.shutdown_enclave(attacher, force=True)
 
-    assert module.segments == {}
-    assert module.grants == {}
-    assert module._live_attachments == {}
-    assert module._smartmap_refs == {}
-    assert module._signal_subs == {}
+    assert module.owner.segments == {}
+    assert module.attacher.grants == {}
+    assert module.attacher.attachments == {}
+    assert module.attacher.smartmap_refs == {}
+    assert module.owner.subscribers == {}
     assert module._signal_state == {}
     # apid minting restarts from 1 on a later re-join
-    assert next(module._apid_counter) == 1
+    assert next(module.attacher._apids) == 1
     assert not module.routing.discovered
 
 
@@ -82,5 +84,44 @@ def test_unforced_shutdown_leaves_no_waiter_behind_either():
     kitten = rig["cokernels"][0]
     system.shutdown_enclave(kitten)
     assert kitten.module._signal_state == {}
-    assert kitten.module.grants == {}
-    assert next(kitten.module._apid_counter) == 1
+    assert kitten.module.attacher.grants == {}
+    assert next(kitten.module.attacher._apids) == 1
+
+
+def test_unforced_shutdown_refused_while_holding_foreign_grants():
+    """An enclave holding a grant and a live attachment on another
+    enclave's segment must not depart unforced: the owner would count
+    the grant forever and never depart itself, and the mapping would
+    outlive the module's registry of it."""
+    rig = build_system(num_cokernels=2)
+    eng, system = rig["engine"], rig["system"]
+    owner, holder = rig["cokernels"]
+    kp = owner.kernel.create_process("exp")
+    ap = holder.kernel.create_process("att")
+    heap = owner.kernel.heap_region(kp)
+
+    def setup():
+        api_o, api_h = XpmemApi(kp), XpmemApi(ap)
+        segid = yield from api_o.xpmem_make(heap.start, 4 * PAGE_4K)
+        apid = yield from api_h.xpmem_get(segid)
+        att = yield from api_h.xpmem_attach(apid)
+        return api_h, apid, att
+
+    api_h, apid, att = eng.run_process(setup())
+    (seg,) = owner.module.owner.segments.values()
+
+    with pytest.raises(XememError, match=r"detach/release first \(or force\)"):
+        system.shutdown_enclave(holder)
+    assert holder.module.routing.discovered
+    assert not att.detached and holder.module.attacher.grants
+    assert seg.grants_out == 1
+
+    def teardown():
+        yield from api_h.xpmem_detach(att)
+        yield from api_h.xpmem_release(apid)
+
+    eng.run_process(teardown())
+    system.shutdown_enclave(holder)
+    assert seg.grants_out == 0
+    # with nothing held on its segment any more, the owner may leave too
+    system.shutdown_enclave(owner)

@@ -161,7 +161,7 @@ class XememMachine(RuleBasedStateMachine):
             if rec["removed"]:
                 continue
             held = sum(1 for s in self.grants.values() if s == segid)
-            assert module.segments[int(segid)].grants_out == held
+            assert module.owner.segments[int(segid)].grants_out == held
 
 
 TestXememProtocol = XememMachine.TestCase
