@@ -22,6 +22,7 @@ Usage::
     python -m repro serve-report [--seed N] [--sessions N] [--slo SPEC]
                                  [--out-dir DIR] [--fail-on-violation]
     python -m repro lint [paths...] [--format text|json] [--select ...]
+                         [--ignore ...] [--output FILE] [--list-rules]
 
 ``report`` exits 3 when the trace was truncated by the span ring cap
 (attribution coverage below 100% due to drops). ``serve-report`` runs

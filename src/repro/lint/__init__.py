@@ -1,10 +1,11 @@
 """repro.lint — determinism & simulation-safety static analysis.
 
-A single-pass AST linter enforcing the project's determinism contract
-as machine-checked rules (REP001-REP008): no wallclock or OS entropy in
-simulation code, no order-unstable iteration, no float equality
-branching, fidelity gates with twins, engine/event-queue
-discipline, accounted exception handling, no mutable defaults.
+A whole-program AST linter enforcing the project's determinism
+contract as machine-checked rules: per-file REP001-REP008 (no wallclock
+or OS entropy in simulation code, no order-unstable iteration, no float
+equality branching, fidelity gates with twins, engine/event-queue
+discipline, accounted exception handling, no mutable defaults) and
+call-graph REP101-REP113 (transitive nondeterminism, shared state).
 
 Library entry points::
 
@@ -15,13 +16,11 @@ CLI (wired into ``python -m repro``)::
 
     python -m repro lint [paths...] [--format text|json]
                          [--select/--ignore REPxxx,...]
-                         [--baseline FILE] [--write-baseline]
+                         [--output FILE] [--list-rules]
 
-See docs/LINT.md for the rule catalog and the suppression/baseline
-workflow.
+See docs/LINT.md for the rule catalog and the suppression workflow.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import iter_python_files, lint_paths, lint_source
 from repro.lint.findings import Finding, Severity
 from repro.lint.rules import ALL_RULES, CODES, make_rules
@@ -29,7 +28,6 @@ from repro.lint.visitor import Rule
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "CODES",
     "Finding",
     "Rule",

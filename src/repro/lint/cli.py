@@ -1,33 +1,25 @@
 """``python -m repro lint`` — the determinism & simulation-safety gate.
 
-Exit codes: 0 clean (or everything baselined/suppressed), 1 findings,
-2 usage error. ``--format json`` emits the machine-readable report the
-CI job uploads as an artifact (schema in docs/LINT.md); ``--format
-sarif`` emits SARIF 2.1.0 for GitHub code scanning. ``--changed``
-restricts *reporting* to files touched per git while still building
-the call graph over the whole default tree — the fast pre-commit mode.
+Exit codes: 0 clean (or everything suppressed), 1 findings, 2 usage or
+I/O error. ``--format json`` emits the machine-readable report the CI
+job uploads as an artifact (schema in docs/LINT.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import lint_paths
 from repro.lint.findings import Severity
 from repro.lint.rules import ALL_RULES, PROJECT_RULES
-from repro.lint.sarif import render_sarif
 
 #: Default lint targets, relative to the invocation directory.
 DEFAULT_PATHS = ("src/repro", "tests")
-#: Default baseline location (missing file = empty baseline).
-DEFAULT_BASELINE = "lint-baseline.json"
-#: JSON report schema version (2 added the per-finding "chain").
-REPORT_VERSION = 2
+#: JSON report schema version (2 added the per-finding "chain", 3
+#: dropped the always-empty "baselined").
+REPORT_VERSION = 3
 
 
 class MetaRuleInfo:
@@ -43,7 +35,7 @@ class MetaRuleInfo:
                 "directive (always on).")
 
 
-#: Rule metadata order for --list-rules and the SARIF driver catalog.
+#: Rule metadata order for --list-rules.
 RULE_CATALOG = (MetaRuleInfo,) + ALL_RULES + PROJECT_RULES
 
 
@@ -60,25 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("paths", nargs="*",
                         help=f"files/directories (default: {' '.join(DEFAULT_PATHS)})")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text",
                         help="report format (default: text)")
     parser.add_argument("--select", type=_codes, default=None, metavar="CODES",
                         help="comma-separated codes to run (default: all)")
     parser.add_argument("--ignore", type=_codes, default=None, metavar="CODES",
                         help="comma-separated codes to skip")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE, metavar="FILE",
-                        help="baseline file of grandfathered findings "
-                             f"(default: {DEFAULT_BASELINE}; missing = empty)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="write current findings to the baseline and exit 0")
-    parser.add_argument("--changed", action="store_true",
-                        help="report only files changed per git (diff vs "
-                             "HEAD + untracked); the call graph still "
-                             "covers the whole default tree")
-    parser.add_argument("--index-cache", metavar="FILE",
-                        help="read/refresh a phase-1 index cache keyed on "
-                             "source sha256 (corrupt/missing = cold start)")
     parser.add_argument("--output", metavar="FILE",
                         help="also write the report to FILE")
     parser.add_argument("--list-rules", action="store_true",
@@ -86,62 +66,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _git_changed_files() -> list:
-    """Changed-vs-HEAD plus untracked ``.py`` files under the default
-    lint tree, or None when git is unavailable (not a repo)."""
-    files: set = set()
-    for cmd in (
-        ("git", "diff", "--name-only", "HEAD", "--"),
-        ("git", "ls-files", "--others", "--exclude-standard"),
-    ):
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-        except OSError:
-            return None
-        if proc.returncode != 0:
-            return None
-        files.update(proc.stdout.split())
-    prefixes = tuple(p.rstrip("/") + "/" for p in DEFAULT_PATHS)
-    return sorted(
-        f for f in files
-        if f.endswith(".py") and f.startswith(prefixes) and os.path.isfile(f)
-    )
-
-
-def _render_text(new, old, files_scanned: int) -> str:
-    lines = [f.render() for f in new]
-    summary = (
-        f"{len(new)} finding{'s' if len(new) != 1 else ''} "
-        f"({len(old)} baselined) in {files_scanned} files"
-    )
-    lines.append(summary if new or old else f"clean: {files_scanned} files")
+def _render_text(findings, files_scanned: int) -> str:
+    lines = [f.render() for f in findings]
+    n = len(findings)
+    lines.append(f"{n} finding{'s' if n != 1 else ''} in {files_scanned} files"
+                 if findings else f"clean: {files_scanned} files")
     return "\n".join(lines)
 
 
-def _render_json(new, old, files_scanned: int) -> str:
+def _render_json(findings, files_scanned: int) -> str:
     by_code: dict = {}
-    for f in new:
+    for f in findings:
         by_code[f.code] = by_code.get(f.code, 0) + 1
     report = {
         "version": REPORT_VERSION,
         "files_scanned": files_scanned,
-        "findings": [f.as_dict() for f in new],
-        "baselined": [f.as_dict() for f in old],
+        "findings": [f.as_dict() for f in findings],
         "counts": dict(sorted(by_code.items())),
-        "ok": not new,
+        "ok": not findings,
     }
     return json.dumps(report, indent=2, sort_keys=True)
 
 
-def _render_sarif_report(new, old, files_scanned: int) -> str:
-    return render_sarif(new, old, RULE_CATALOG)
-
-
-_RENDERERS = {
-    "text": _render_text,
-    "json": _render_json,
-    "sarif": _render_sarif_report,
-}
+_RENDERERS = {"text": _render_text, "json": _render_json}
 
 
 def main(argv=None) -> int:
@@ -153,28 +100,10 @@ def main(argv=None) -> int:
             print(f"{cls.code} {cls.name:18s} {cls.summary()}")
         return 0
 
-    project_paths = None
-    if args.changed:
-        if args.paths:
-            parser.error("--changed and explicit paths are exclusive")
-        changed = _git_changed_files()
-        if changed is None:
-            print("error: --changed requires a git checkout",
-                  file=sys.stderr)
-            return 2
-        if not changed:
-            print("clean: no changed python files")
-            return 0
-        paths = changed
-        project_paths = list(DEFAULT_PATHS)
-    else:
-        paths = args.paths or [p for p in DEFAULT_PATHS]
-
+    paths = args.paths or list(DEFAULT_PATHS)
     try:
-        findings, files_scanned = lint_paths(
-            paths, select=args.select, ignore=args.ignore,
-            project_paths=project_paths, cache_file=args.index_cache,
-        )
+        findings, files_scanned = lint_paths(paths, select=args.select,
+                                             ignore=args.ignore)
     except ValueError as exc:  # unknown --select/--ignore codes
         parser.error(str(exc))
     except OSError as exc:
@@ -186,24 +115,17 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        n = Baseline.write(args.baseline, findings)
-        print(f"baseline: {n} finding{'s' if n != 1 else ''} "
-              f"-> {args.baseline}")
-        return 0
-
-    try:
-        new, old = Baseline.load(args.baseline).split(findings)
-    except (ValueError, json.JSONDecodeError) as exc:
-        print(f"error: bad baseline {args.baseline}: {exc}", file=sys.stderr)
-        return 2
-
-    report = _RENDERERS[args.format](new, old, files_scanned)
+    report = _RENDERERS[args.format](findings, files_scanned)
     print(report)
     if args.output:
-        with open(args.output, "w") as fp:
-            fp.write(report + "\n")
-    return 1 if new else 0
+        try:
+            with open(args.output, "w") as fp:
+                fp.write(report + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

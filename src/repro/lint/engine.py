@@ -1,22 +1,15 @@
 """The lint driver: files in, findings out — in two phases.
 
-Phase 1 (**index**) parses every file in the project scope once,
-building a serializable :class:`~repro.lint.index.FileIndex` per file
-(symbols, call sites, nondeterminism sources, shared-state facts).
-Indexes are cacheable keyed on the source sha256, which is what lets
-CI skip re-indexing unchanged files.
+Phase 1 (**index**) parses every given file once, building a
+:class:`~repro.lint.index.FileIndex` per file (symbols, call sites,
+nondeterminism sources, shared-state facts).
 
 Phase 2 (**analyze**) merges the indexes into a
 :class:`~repro.lint.project.ProjectIndex` (the call graph), runs the
 whole-program REP1xx rules over it, runs the per-file REP0xx rules
-over each *target* file's tree, then applies suppression centrally:
-one noqa pass covers both tiers, marks used directives, and reports
-stale ones (REP000).
-
-Targets vs. project scope: findings are only reported for target
-files, but the call graph can be wider — ``repro lint --changed``
-analyzes just the diffed files against the full project graph, so a
-changed helper still sees its unchanged callers.
+over each file's tree, then applies suppression centrally: one noqa
+pass covers both tiers, marks used directives, and reports stale ones
+(REP000).
 
 This is the library surface the CLI and the test suite share:
 :func:`lint_source` for one blob (fixture tests — a one-file project),
@@ -26,13 +19,12 @@ This is the library surface the CLI and the test suite share:
 from __future__ import annotations
 
 import ast
-import json
 import os
 
 from repro.lint import noqa as noqa_mod
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
-from repro.lint.index import FileIndex, build_file_index, source_sha
+from repro.lint.index import build_file_index
 from repro.lint.project import ProjectIndex
 from repro.lint.rules import ALL_RULES, _chosen, make_project_rules
 from repro.lint.visitor import run_rules
@@ -41,9 +33,6 @@ from repro.lint.visitor import run_rules
 SKIP_DIRS = frozenset({
     "__pycache__", ".git", ".hypothesis", ".pytest_cache", "build",
 })
-
-#: Index-cache file schema version.
-CACHE_VERSION = 1
 
 
 class ProjectReporter:
@@ -69,44 +58,32 @@ class _Workspace:
     def __init__(self) -> None:
         self.sources: dict = {}  #: path -> source text
         self.lines: dict = {}  #: path -> source lines
-        self.trees: dict = {}  #: path -> parsed AST (target files)
+        self.trees: dict = {}  #: path -> parsed AST
         self.directives: dict = {}  #: path -> {line: Directive}
         self.malformed: dict = {}  #: path -> [REP000 findings]
         self.broken: dict = {}  #: path -> syntax-error finding
         self.project = ProjectIndex()
 
-    def load(self, path: str, source: str, is_target: bool,
-             cache_entry=None) -> None:
+    def load(self, path: str, source: str) -> None:
         """Phase-1 intake of one file (from disk or a string)."""
         self.sources[path] = source
         self.lines[path] = source.splitlines()
-        sha = source_sha(source)
-        if not is_target and cache_entry is not None \
-                and cache_entry.get("sha256") == sha:
-            self.project.add(FileIndex.from_dict(cache_entry["index"]),
-                             cached=True)
-            return
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            if is_target:
-                self.broken[path] = Finding(
-                    noqa_mod.META_CODE, f"syntax error: {exc.msg}", path,
-                    exc.lineno or 1, (exc.offset or 1) - 1, Severity.ERROR,
-                )
+            self.broken[path] = Finding(
+                noqa_mod.META_CODE, f"syntax error: {exc.msg}", path,
+                exc.lineno or 1, (exc.offset or 1) - 1, Severity.ERROR,
+            )
             return
         directives, malformed = noqa_mod.scan(source, path)
-        if is_target:
-            self.trees[path] = tree
-            self.directives[path] = directives
-            self.malformed[path] = malformed
-        self.project.add(
-            build_file_index(path, source, tree, directives),
-            cached=False,
-        )
+        self.trees[path] = tree
+        self.directives[path] = directives
+        self.malformed[path] = malformed
+        self.project.add(build_file_index(path, tree, directives))
 
 
-def _analyze(ws: _Workspace, targets, select, ignore) -> list:
+def _analyze(ws: _Workspace, select, ignore) -> list:
     """Phase 2: project rules + per-file rules + central noqa."""
     active = _chosen(select, ignore)
 
@@ -118,19 +95,14 @@ def _analyze(ws: _Workspace, targets, select, ignore) -> list:
         project_findings.setdefault(f.path, []).append(f)
 
     file_rule_classes = [cls for cls in ALL_RULES if cls.code in active]
-    out: list = []
-    for path in targets:
-        if path in ws.broken:
-            out.append(ws.broken[path])
-            continue
-        if path not in ws.trees:
-            continue
-        ctx = FileContext(path, ws.sources[path], ws.trees[path])
+    out: list = list(ws.broken.values())
+    for path, tree in ws.trees.items():
+        ctx = FileContext(path, ws.sources[path], tree)
         raw = run_rules(ctx, [cls() for cls in file_rule_classes])
         raw.extend(project_findings.get(path, ()))
-        directives = ws.directives.get(path, {})
+        directives = ws.directives[path]
         kept, _suppressed = noqa_mod.apply(raw, directives)
-        kept.extend(ws.malformed.get(path, ()))
+        kept.extend(ws.malformed[path])
         kept.extend(
             noqa_mod.stale_findings(directives, active, path, ws.lines[path])
         )
@@ -149,8 +121,8 @@ def lint_source(source: str, path: str = "<string>", select=None,
     hide the rest of a run.
     """
     ws = _Workspace()
-    ws.load(path, source, is_target=True)
-    return _analyze(ws, [path], select, ignore)
+    ws.load(path, source)
+    return _analyze(ws, select, ignore)
 
 
 def iter_python_files(paths) -> list:
@@ -177,82 +149,15 @@ def iter_python_files(paths) -> list:
     return sorted(dict.fromkeys(out))
 
 
-def lint_paths(paths, select=None, ignore=None, project_paths=None,
-               cache_file=None, stats=None) -> tuple:
-    """Lint every ``.py`` file under ``paths``.
-
-    ``project_paths`` widens the *call-graph* scope beyond the report
-    targets (``--changed`` passes the default tree here); ``None``
-    keeps the run self-contained. ``cache_file`` names a phase-1 index
-    cache to read and refresh (missing/corrupt = cold start). Pass a
-    dict as ``stats`` to receive phase-1 counters
-    (``{"indexed": fresh, "cached": from-cache}``).
+def lint_paths(paths, select=None, ignore=None) -> tuple:
+    """Lint every ``.py`` file under ``paths`` as one project.
 
     Returns ``(findings, files_scanned)``; findings are sorted by
-    (path, line, col, code). ``files_scanned`` counts the target files.
+    (path, line, col, code).
     """
-    targets = iter_python_files(paths)
-    scope = list(targets)
-    if project_paths is not None:
-        target_set = set(targets)
-        scope.extend(p for p in iter_python_files(project_paths)
-                     if p not in target_set)
-        scope.sort()
-    cached = load_index_cache(cache_file) if cache_file else {}
-
+    files = iter_python_files(paths)
     ws = _Workspace()
-    target_set = set(targets)
-    for path in scope:
-        try:
-            with open(path, encoding="utf-8") as fp:
-                source = fp.read()
-        except OSError:
-            if path in target_set:
-                raise
-            continue
-        ws.load(path, source, is_target=path in target_set,
-                cache_entry=cached.get(path))
-
-    findings = _analyze(ws, targets, select, ignore)
-    if cache_file:
-        save_index_cache(cache_file, ws.project)
-    if stats is not None:
-        stats.update(ws.project.stats)
-    return findings, len(targets)
-
-
-# ---------------------------------------------------------------------------
-# Index cache (phase-1 skip for unchanged files)
-# ---------------------------------------------------------------------------
-
-
-def load_index_cache(path: str) -> dict:
-    """``{file path: {"sha256": ..., "index": ...}}`` or empty.
-
-    Any unreadable/mismatched cache degrades to a cold start — the
-    cache can only ever make a run faster, never change its output.
-    """
-    try:
+    for path in files:
         with open(path, encoding="utf-8") as fp:
-            data = json.load(fp)
-        if data.get("version") != CACHE_VERSION:
-            return {}
-        files = data.get("files", {})
-        return files if isinstance(files, dict) else {}
-    except (OSError, ValueError):
-        return {}
-
-
-def save_index_cache(path: str, project: ProjectIndex) -> None:
-    """Persist every indexed file for the next run (best effort)."""
-    files = {
-        file_path: {"sha256": idx.sha256, "index": idx.to_dict()}
-        for file_path, idx in sorted(project.files.items())
-    }
-    try:
-        with open(path, "w", encoding="utf-8") as fp:
-            json.dump({"version": CACHE_VERSION, "files": files}, fp,
-                      sort_keys=True)
-            fp.write("\n")
-    except OSError:  # pragma: no cover - cache is advisory
-        pass
+            ws.load(path, fp.read())
+    return _analyze(ws, select, ignore), len(files)

@@ -3,8 +3,8 @@
 A :class:`Finding` is one diagnostic: a rule code anchored to a
 ``path:line:col`` with a human message. Findings are value objects —
 the CLI sorts, filters (``--select``/``--ignore``), suppresses
-(``# repro: noqa[REPxxx]``), baselines, and renders them, but never
-mutates them after creation.
+(``# repro: noqa[REPxxx]``) and renders them, but never mutates them
+after creation.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ class Finding:
     line: int  #: 1-based source line
     col: int  #: 0-based column, matching ``ast`` node offsets
     severity: Severity = Severity.ERROR
-    #: the stripped source line, used for baseline fingerprinting so
-    #: grandfathered findings survive unrelated line-number drift
+    #: the stripped source line, carried into the JSON report
     source_line: str = field(default="", compare=False)
     #: interprocedural propagation chain (whole-program REP1xx rules):
     #: ``(path, line, text)`` steps from this site down to the
@@ -50,10 +49,6 @@ class Finding:
 
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.col, self.code)
-
-    def fingerprint(self) -> tuple:
-        """Identity used by the baseline: stable across pure line drift."""
-        return (self.path, self.code, self.source_line)
 
     def render(self) -> str:
         """The canonical ``path:line:col: CODE message`` text form.

@@ -14,24 +14,16 @@ analysis passes need:
   writes to any of them, and loop-variable closure captures,
 * the file's ``# repro: noqa`` directive lines, so the taint pass can
   treat reasoned suppressions as declared boundaries.
-
-Because a ``FileIndex`` is plain data it round-trips through JSON —
-that is what lets the CI cache the index between runs keyed on each
-file's source hash (:mod:`repro.lint.engine` owns the cache file).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.lint import sources
 from repro.lint.context import ImportTable
-
-#: Bump when the index layout changes; stale caches are ignored.
-INDEX_VERSION = 1
 
 #: Constructors/literals that make a module-level binding a shared
 #: mutable container.
@@ -143,7 +135,6 @@ class FileIndex:
 
     path: str
     module: str
-    sha256: str
     functions: dict = field(default_factory=dict)
     classes: dict = field(default_factory=dict)
     module_mutables: dict = field(default_factory=dict)  #: name -> line
@@ -152,51 +143,8 @@ class FileIndex:
     writes: list = field(default_factory=list)
     #: loop-variable closure captures: [[line, col, var, display], ...]
     captures: list = field(default_factory=list)
-    #: noqa directive lines: line(str in JSON) -> sorted code list
+    #: noqa directive lines: line -> sorted code list
     noqa: dict = field(default_factory=dict)
-
-    # -- serialization (the CI index cache) ---------------------------------
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["functions"] = {q: asdict(f) for q, f in self.functions.items()}
-        data["classes"] = {q: asdict(c) for q, c in self.classes.items()}
-        data["writes"] = [asdict(w) for w in self.writes]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FileIndex":
-        idx = cls(
-            path=data["path"], module=data["module"], sha256=data["sha256"],
-            module_mutables=dict(data["module_mutables"]),
-            module_singletons=dict(data["module_singletons"]),
-            captures=[list(c) for c in data["captures"]],
-            noqa={int(k): list(v) for k, v in data["noqa"].items()},
-        )
-        for qual, f in data["functions"].items():
-            fn = FunctionInfo(
-                qualname=f["qualname"], path=f["path"], line=f["line"],
-                taints={k: [list(s) for s in v]
-                        for k, v in f["taints"].items()},
-                locals=list(f["locals"]), cached=f["cached"],
-            )
-            fn.calls = [CallSite(**c) for c in f["calls"]]
-            idx.functions[qual] = fn
-        for qual, c in data["classes"].items():
-            idx.classes[qual] = ClassInfo(
-                qualname=c["qualname"], path=c["path"], line=c["line"],
-                bases=list(c["bases"]),
-                class_mutables=dict(c["class_mutables"]),
-                instance_assigned=list(c["instance_assigned"]),
-                self_mutations=[list(m) for m in c["self_mutations"]],
-            )
-        idx.writes = [StateWrite(**w) for w in data["writes"]]
-        return idx
-
-
-def source_sha(source: str) -> str:
-    """Cache key for one file's contents."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +164,10 @@ class _FunctionFrame:
 class _Indexer:
     """One-pass tree walk building a :class:`FileIndex`."""
 
-    def __init__(self, path: str, source: str, tree: ast.AST) -> None:
+    def __init__(self, path: str, tree: ast.AST) -> None:
         self.tree = tree
         self.imports = ImportTable(tree)
-        self.idx = FileIndex(path=path, module=module_name(path),
-                             sha256=source_sha(source))
+        self.idx = FileIndex(path=path, module=module_name(path))
         # Module-level definitions, pre-collected so bare-name calls and
         # base classes resolve to this module regardless of order.
         self.top_defs: set = set()
@@ -772,11 +719,11 @@ def _free_names(node) -> set:
     return loads - bound
 
 
-def build_file_index(path: str, source: str, tree: ast.AST,
+def build_file_index(path: str, tree: ast.AST,
                      noqa_directives: Optional[dict] = None) -> FileIndex:
     """Index one parsed file; ``noqa_directives`` come from
     :func:`repro.lint.noqa.scan` (line → Directive)."""
-    idx = _Indexer(path, source, tree).build()
+    idx = _Indexer(path, tree).build()
     if noqa_directives:
         idx.noqa = {
             line: sorted(d.codes) for line, d in noqa_directives.items()

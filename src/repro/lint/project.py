@@ -45,13 +45,11 @@ class ProjectIndex:
         self.singletons: dict = {}
         #: "module.NAME" -> [line, path]
         self.mutables: dict = {}
-        #: how phase 1 went: files indexed fresh vs. served from cache
-        self.stats = {"indexed": 0, "cached": 0}
         self._resolved: dict = {}
         self._reverse: Optional[dict] = None
         self._taint_cache: dict = {}
 
-    def add(self, idx: FileIndex, cached: bool = False) -> None:
+    def add(self, idx: FileIndex) -> None:
         self.files[idx.path] = idx
         self.modules[idx.module] = idx.path
         self.functions.update(idx.functions)
@@ -60,7 +58,6 @@ class ProjectIndex:
             self.mutables[f"{idx.module}.{name}"] = [line, idx.path]
         for name, (line, cls) in idx.module_singletons.items():
             self.singletons[f"{idx.module}.{name}"] = [line, cls, idx.path]
-        self.stats["cached" if cached else "indexed"] += 1
 
     # -- name resolution ----------------------------------------------------
 
@@ -260,11 +257,3 @@ class ProjectIndex:
             queue.extend(info.bases)
         return False
 
-
-def build_project(indexes) -> ProjectIndex:
-    """Assemble a :class:`ProjectIndex` from ``(FileIndex, cached)``
-    pairs (any iterable order; the merge itself sorts)."""
-    project = ProjectIndex()
-    for idx, cached in indexes:
-        project.add(idx, cached=cached)
-    return project

@@ -241,6 +241,7 @@ class Attacher:
             )
         grant.released = True
         del self.grants[int(apid)]
+        self.attachments.pop(int(apid), None)
         return grant
 
     def register(self, grant: Grant, attached) -> bool:

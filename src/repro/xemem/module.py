@@ -1178,7 +1178,7 @@ class XememModule:
                 "xemem.module.crashed", self.engine.now,
                 enclave=self.enclave.name,
                 segments=len(self.owner.segments),
-                live_attachments=len(self.attacher.attachments),
+                live_attachments=sum(map(len, self.attacher.attachments.values())),
             )
         self._fail_waiters(XememError(f"enclave {self.enclave.name!r} crashed"))
         self._drop_registration_state()

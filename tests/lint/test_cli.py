@@ -109,9 +109,8 @@ def run(args, capsys):
     return code, capsys.readouterr().out
 
 
-def test_dirty_fixture_trips_every_rule(dirty, tmp_path, capsys):
-    code, out = run([dirty, "--format", "json",
-                     "--baseline", tmp_path / "none.json"], capsys)
+def test_dirty_fixture_trips_every_rule(dirty, capsys):
+    code, out = run([dirty, "--format", "json"], capsys)
     assert code == 1
     report = json.loads(out)
     assert sorted(report["counts"]) == sorted(CODES)
@@ -119,14 +118,13 @@ def test_dirty_fixture_trips_every_rule(dirty, tmp_path, capsys):
     assert report["ok"] is False
 
 
-def test_json_schema(dirty, tmp_path, capsys):
-    code, out = run([dirty, "--format", "json",
-                     "--baseline", tmp_path / "none.json"], capsys)
+def test_json_schema(dirty, capsys):
+    code, out = run([dirty, "--format", "json"], capsys)
     report = json.loads(out)
-    assert report["version"] == 2
+    assert report["version"] == 3
     assert report["files_scanned"] == 1
-    assert sorted(report) == ["baselined", "counts", "files_scanned",
-                              "findings", "ok", "version"]
+    assert sorted(report) == ["counts", "files_scanned", "findings", "ok",
+                              "version"]
     for f in report["findings"]:
         assert sorted(f) == ["chain", "code", "col", "line", "message",
                              "path", "severity", "source_line"]
@@ -136,9 +134,8 @@ def test_json_schema(dirty, tmp_path, capsys):
             assert sorted(step) == ["line", "path", "text"]
 
 
-def test_taint_findings_carry_chains(dirty, tmp_path, capsys):
-    code, out = run([dirty, "--format", "json",
-                     "--baseline", tmp_path / "none.json"], capsys)
+def test_taint_findings_carry_chains(dirty, capsys):
+    code, out = run([dirty, "--format", "json"], capsys)
     by_code = {f["code"]: f for f in json.loads(out)["findings"]}
     for code_ in ("REP101", "REP102"):
         chain = by_code[code_]["chain"]
@@ -147,19 +144,17 @@ def test_taint_findings_carry_chains(dirty, tmp_path, capsys):
     assert by_code["REP103"]["chain"] == []  # direct read, no propagation
 
 
-def test_text_format_renders_locations(dirty, tmp_path, capsys):
-    code, out = run([dirty, "--baseline", tmp_path / "none.json"], capsys)
+def test_text_format_renders_locations(dirty, capsys):
+    code, out = run([dirty], capsys)
     assert code == 1
     assert f"{dirty}:13:" in out  # the time.time() line
     assert "REP001" in out and "16 findings" in out
 
 
-def test_select_and_ignore(dirty, tmp_path, capsys):
-    code, out = run([dirty, "--format", "json", "--select", "REP001",
-                     "--baseline", tmp_path / "none.json"], capsys)
+def test_select_and_ignore(dirty, capsys):
+    code, out = run([dirty, "--format", "json", "--select", "REP001"], capsys)
     assert json.loads(out)["counts"] == {"REP001": 1}
-    code, out = run([dirty, "--format", "json", "--ignore",
-                     "REP001,REP004", "--baseline", tmp_path / "none.json"],
+    code, out = run([dirty, "--format", "json", "--ignore", "REP001,REP004"],
                     capsys)
     counts = json.loads(out)["counts"]
     assert "REP001" not in counts and "REP004" not in counts
@@ -172,19 +167,10 @@ def test_unknown_select_code_is_usage_error(dirty, capsys):
     assert exc.value.code == 2
 
 
-def test_write_baseline_then_clean(dirty, tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    code, out = run([dirty, "--write-baseline", "--baseline", baseline],
-                    capsys)
-    assert code == 0 and "16 findings" in out
-    code, out = run([dirty, "--baseline", baseline], capsys)
-    assert code == 0 and "(16 baselined)" in out
-
-
 def test_clean_file_exits_zero(tmp_path, capsys):
     clean = tmp_path / "clean.py"
     clean.write_text("def f(x):\n    return x + 1\n")
-    code, out = run([clean, "--baseline", tmp_path / "none.json"], capsys)
+    code, out = run([clean], capsys)
     assert code == 0 and "clean: 1 files" in out
 
 
@@ -196,10 +182,21 @@ def test_no_python_files_is_usage_error(tmp_path, capsys):
 
 def test_output_file(dirty, tmp_path, capsys):
     report_path = tmp_path / "report.json"
-    code, _out = run([dirty, "--format", "json", "--output", report_path,
-                      "--baseline", tmp_path / "none.json"], capsys)
+    code, _out = run([dirty, "--format", "json", "--output", report_path],
+                     capsys)
     assert code == 1
     assert json.loads(report_path.read_text())["ok"] is False
+
+
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    # exit 2, not 1: an I/O failure must not read as "findings"
+    clean = tmp_path / "clean.py"
+    clean.write_text("def f(x):\n    return x + 1\n")
+    target = tmp_path / "no" / "such" / "r.json"
+    assert lint_main([str(clean), "--format", "json",
+                      "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_list_rules(capsys):
@@ -209,10 +206,9 @@ def test_list_rules(capsys):
         assert code in out
 
 
-def test_repro_main_dispatches_lint(dirty, tmp_path, capsys):
+def test_repro_main_dispatches_lint(dirty, capsys):
     from repro.__main__ import main as repro_main
 
-    assert repro_main(["lint", str(dirty),
-                       "--baseline", str(tmp_path / "none.json")]) == 1
+    assert repro_main(["lint", str(dirty)]) == 1
     out = capsys.readouterr().out
     assert "REP005" in out

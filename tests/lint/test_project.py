@@ -5,8 +5,6 @@ Every test writes a small multi-file project into ``tmp_path`` and runs
 relative paths exactly as they do for the real tree.
 """
 
-import json
-
 import pytest
 
 from repro.lint.engine import lint_paths
@@ -151,59 +149,3 @@ def test_method_resolution_walks_the_mro(project):
     assert [(f.path, f.code) for f in findings] == [
         ("base.py", "REP001"), ("sub.py", "REP101"),
     ]
-
-
-def test_project_scope_widens_graph_but_not_reporting(project):
-    helper = (
-        "import os\n"
-        "\n"
-        "\n"
-        "def flag():\n"
-        "    return os.getenv('X')\n"
-    )
-    app = (
-        "from helper import flag\n"
-        "\n"
-        "\n"
-        "def run():\n"
-        "    return flag()\n"
-    )
-    project(helper=helper, app=app)
-    findings, scanned = lint_paths(["app.py"], project_paths=["."])
-    assert scanned == 1
-    # the edge into the helper is reported on the target; the helper's
-    # own direct finding belongs to a file outside the report set
-    assert [(f.path, f.code) for f in findings] == [("app.py", "REP103")]
-
-
-def test_index_cache_skips_unchanged_non_targets(project, tmp_path):
-    project(util=UTIL, app=APP, other="X = 1\n")
-    stats = {}
-    lint_paths(["app.py"], project_paths=["."], cache_file="cache.json",
-               stats=stats)
-    assert stats == {"indexed": 3, "cached": 0}
-
-    stats = {}
-    first, _ = lint_paths(["app.py"], project_paths=["."],
-                          cache_file="cache.json", stats=stats)
-    # targets always re-parse (per-file rules need the tree)
-    assert stats == {"indexed": 1, "cached": 2}
-
-    cache = json.loads((tmp_path / "cache.json").read_text())
-    assert set(cache["files"]) == {"app.py", "other.py", "util.py"}
-    assert all("sha256" in entry for entry in cache["files"].values())
-
-    # a cached run must produce byte-identical findings
-    (tmp_path / "cache.json").unlink()
-    cold, _ = lint_paths(["app.py"], project_paths=["."])
-    assert [f.render() for f in first] == [f.render() for f in cold]
-
-
-def test_corrupt_cache_degrades_to_cold_start(project, tmp_path):
-    project(util=UTIL, app=APP)
-    (tmp_path / "cache.json").write_text("{not json")
-    stats = {}
-    findings, _ = lint_paths(["app.py"], project_paths=["."],
-                             cache_file="cache.json", stats=stats)
-    assert stats == {"indexed": 2, "cached": 0}
-    assert [f.code for f in findings] == ["REP101"]

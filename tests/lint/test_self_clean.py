@@ -1,15 +1,14 @@
 """Meta-test: the committed tree obeys its own determinism rules.
 
 This is the in-repo twin of the CI ``lint-repro`` gate: ``src/repro``
-(the analyzer included) and ``tests/`` must produce zero findings
-beyond the committed baseline. If this test fails, either fix the new
-violation, suppress it with a reasoned ``# repro: noqa[REPxxx]``, or —
-for deliberate grandfathering only — add it to lint-baseline.json.
+(the analyzer included) and ``tests/`` must produce zero findings. If
+this test fails, fix the new violation or suppress it with a reasoned
+``# repro: noqa[REPxxx] reason=...``.
 """
 
 import pathlib
 
-from repro.lint import Baseline, lint_paths
+from repro.lint import lint_paths
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -18,33 +17,20 @@ def _relative(findings):
     return [f.render().replace(str(REPO_ROOT) + "/", "") for f in findings]
 
 
-def test_src_and_tests_lint_clean_or_baselined():
+def test_src_and_tests_lint_clean():
     findings, files_scanned = lint_paths(
         [str(REPO_ROOT / "src" / "repro"), str(REPO_ROOT / "tests")]
     )
     assert files_scanned > 150, "lint walked suspiciously few files"
-    new, _old = Baseline.load(str(REPO_ROOT / "lint-baseline.json")).split(
-        findings
-    )
-    assert not new, "non-baselined findings:\n" + "\n".join(_relative(new))
+    assert not findings, "findings:\n" + "\n".join(_relative(findings))
 
 
 def test_linter_lints_itself():
-    # The analyzer package alone, no baseline: it must be spotless.
+    # The analyzer package alone: it must be spotless.
     findings, files_scanned = lint_paths(
         [str(REPO_ROOT / "src" / "repro" / "lint")]
     )
     assert files_scanned >= 14
     assert not findings, "lint package findings:\n" + "\n".join(
         _relative(findings)
-    )
-
-
-def test_committed_baseline_is_minimal():
-    # The gate's promise is an empty-or-near-empty baseline; growing it
-    # needs a deliberate decision, not a drive-by.
-    baseline = Baseline.load(str(REPO_ROOT / "lint-baseline.json"))
-    assert len(baseline) <= 5, (
-        "the committed baseline is growing — fix or noqa new findings "
-        "instead of grandfathering them"
     )

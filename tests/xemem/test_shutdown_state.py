@@ -125,3 +125,47 @@ def test_unforced_shutdown_refused_while_holding_foreign_grants():
     assert seg.grants_out == 0
     # with nothing held on its segment any more, the owner may leave too
     system.shutdown_enclave(owner)
+
+
+def test_release_drops_attachment_record_and_crash_note_counts_live():
+    """Released grants leave no attachment record behind, and the crash
+    note counts live attachments, not apids ever attached."""
+    from repro.obs import observing
+
+    with observing(trace=False, metrics=False, flightrec=True) as ctx:
+        rig = build_system(num_cokernels=2)
+        eng = rig["engine"]
+        exporter, attacher = rig["cokernels"]
+        kp = exporter.kernel.create_process("exp")
+        ap = attacher.kernel.create_process("att")
+        heap = exporter.kernel.heap_region(kp)
+        api_e, api_a = XpmemApi(kp), XpmemApi(ap)
+        segid = eng.run_process(api_e.xpmem_make(heap.start, 4 * PAGE_4K))
+
+        def cycle():
+            apid = yield from api_a.xpmem_get(segid)
+            att = yield from api_a.xpmem_attach(apid)
+            yield from api_a.xpmem_detach(att)
+            yield from api_a.xpmem_release(apid)
+
+        for _ in range(5):
+            eng.run_process(cycle())
+        assert attacher.module.attacher.grants == {}
+        assert attacher.module.attacher.attachments == {}
+
+        def attach_once():
+            # a held grant whose attachment is detached: an empty record
+            held = yield from api_a.xpmem_get(segid)
+            att = yield from api_a.xpmem_attach(held)
+            yield from api_a.xpmem_detach(att)
+            apid = yield from api_a.xpmem_get(segid)
+            yield from api_a.xpmem_attach(apid)
+
+        eng.run_process(attach_once())
+        assert len(attacher.module.attacher.attachments) == 2
+        rig["pisces"].crash_enclave(attacher, system=rig["system"])
+
+    notes = [n for n in ctx.flightrec.notes
+             if n["kind"] == "xemem.module.crashed"]
+    assert [n["detail"]["enclave"] for n in notes] == ["kitten1"]
+    assert notes[0]["detail"]["live_attachments"] == 1
