@@ -67,6 +67,8 @@ from repro import obs
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.report import render_table
 from repro.hw.costs import MB
+from repro.obs.tracer import write_text
+from repro.pipes import tolerate_closed_stdout
 
 
 def _explain(args) -> str:
@@ -186,8 +188,9 @@ GROUPS = {
 }
 
 
+@tolerate_closed_stdout()
 def main(argv=None) -> int:
-    """Parse arguments and run the requested figure command(s)."""
+    """Parse arguments and run the requested command(s)."""
     if argv is None:
         argv = sys.argv[1:]
     if argv[:1] == ["lint"]:
@@ -322,20 +325,19 @@ def main(argv=None) -> int:
                 print(f"[{name} regenerated in {time.time() - t0:.1f}s wall]\n")  # repro: noqa[REP001] reason=CLI progress display only; never enters simulation state or exports
         except Exception as exc:
             if want_flightrec:
-                path = _dump_flightrec(
-                    ctx, args.flightrec_dump or "incident-crash",
-                    args.command, "unhandled.exception",
+                path = ctx.flightrec.dump(
+                    args.flightrec_dump or "incident-crash",
+                    {"command": args.command}, "unhandled.exception",
                     error=type(exc).__name__,
                 )
                 print(f"[incident bundle: {path}]", file=sys.stderr)
             raise
 
         if args.trace:
-            with open(args.trace, "w") as fp:
-                if args.trace_format == "jsonl":
-                    ctx.tracer.to_jsonl(fp)
-                else:
-                    ctx.tracer.to_chrome(fp)
+            if args.trace_format == "jsonl":
+                ctx.tracer.to_jsonl(args.trace)
+            else:
+                ctx.tracer.to_chrome(args.trace)
             print(f"[trace: {len(ctx.tracer)} spans -> {args.trace}"
                   + (f", {ctx.tracer.dropped} dropped]" if ctx.tracer.dropped
                      else "]"))
@@ -343,37 +345,16 @@ def main(argv=None) -> int:
             snap = ctx.snapshot()
             text = json.dumps(snap, sort_keys=True, indent=2)
             if args.metrics_out:
-                with open(args.metrics_out, "w") as fp:
-                    fp.write(text + "\n")
+                write_text(args.metrics_out, text + "\n")
                 print(f"[metrics: {len(snap)} series -> {args.metrics_out}]")
             if args.metrics:
                 print(f"== metrics ({len(snap)} series) ==")
                 print(text)
         if args.flightrec_dump:
-            path = _dump_flightrec(ctx, args.flightrec_dump, args.command,
-                                   "manual.dump")
+            path = ctx.flightrec.dump(args.flightrec_dump,
+                                      {"command": args.command})
             print(f"[incident bundle: {path}]")
     return 0
-
-
-def _dump_flightrec(ctx, out_dir: str, command: str, fallback_kind: str,
-                    **detail) -> str:
-    """Freeze the armed black box into an incident bundle at ``out_dir``.
-
-    A trigger the run already recorded (enclave crash, audit violation)
-    wins; otherwise one is synthesized at the recorder's last-known
-    virtual time so the bundle stays deterministic.
-    """
-    from repro.obs import flightrec as flightrec_mod
-
-    recorder = ctx.flightrec
-    trigger = recorder.last_trigger
-    if trigger is None:
-        now = recorder.engine.now if recorder.engine is not None else 0
-        trigger = recorder.trigger(fallback_kind, now, **detail)
-    return flightrec_mod.write_bundle(
-        out_dir, trigger, recorder=recorder, config={"command": command}
-    )
 
 
 if __name__ == "__main__":

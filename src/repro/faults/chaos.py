@@ -24,7 +24,6 @@ from repro.faults import reporting
 from repro.faults.inject import arm
 from repro.faults.plan import FaultPlan
 from repro.hw.costs import PAGE_4K
-from repro.obs import flightrec as flightrec_mod
 from repro.xemem import XememError, XememOverload, XememTimeout, XpmemApi
 from repro.xemem.overload import OverloadConfig, admission_totals, arm_overload
 
@@ -286,34 +285,18 @@ def _run_scenario(report: ChaosReport, plan: FaultPlan, cokernels: int,
             report.crashes or not report.reclaimed
             or recorder.last_trigger is not None
         ):
-            report.bundle_path = _dump_bundle(
-                flightrec_dir, report, recorder, eng
+            if not report.reclaimed:
+                recorder.note(
+                    "chaos.unreclaimed", eng.now,
+                    segids=list(report.unreclaimed_segids),
+                    drained=report.drained,
+                    live_processes=report.live_processes,
+                )
+            report.bundle_path = recorder.dump(
+                flightrec_dir,
+                {"command": "chaos", "seed": report.seed,
+                 "plan": report.plan_spec, "ops_completed": report.ops_total},
+                "chaos.end" if report.reclaimed else "chaos.unreclaimed",
+                crashes=report.crashes,
+                unreclaimed=len(report.unreclaimed_segids),
             )
-
-
-def _dump_bundle(out_dir: str, report: ChaosReport, recorder,
-                 engine) -> str:
-    """Freeze the run's black box into ``out_dir``; returns the path."""
-    if not report.reclaimed:
-        recorder.note(
-            "chaos.unreclaimed", engine.now,
-            segids=list(report.unreclaimed_segids),
-            drained=report.drained,
-            live_processes=report.live_processes,
-        )
-    trigger = recorder.last_trigger
-    if trigger is None:
-        kind = "chaos.unreclaimed" if not report.reclaimed else "chaos.end"
-        trigger = recorder.trigger(
-            kind, engine.now, crashes=report.crashes,
-            unreclaimed=len(report.unreclaimed_segids),
-        )
-    return flightrec_mod.write_bundle(
-        out_dir, trigger, recorder=recorder,
-        config={
-            "command": "chaos",
-            "seed": report.seed,
-            "plan": report.plan_spec,
-            "ops_completed": report.ops_total,
-        },
-    )

@@ -14,6 +14,7 @@ import sys
 from repro.lint.engine import lint_paths
 from repro.lint.findings import Severity
 from repro.lint.rules import ALL_RULES, PROJECT_RULES
+from repro.pipes import tolerate_closed_stdout
 
 #: Default lint targets, relative to the invocation directory.
 DEFAULT_PATHS = ("src/repro", "tests")
@@ -91,6 +92,7 @@ def _render_json(findings, files_scanned: int) -> str:
 _RENDERERS = {"text": _render_text, "json": _render_json}
 
 
+@tolerate_closed_stdout()
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -32,6 +32,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
 
+from repro.obs.tracer import span_record
+
 #: Attribution bucket names, in report order.
 SUBSYSTEMS = (
     "pagetable",
@@ -83,6 +85,9 @@ class SpanNode:
     end_ns: int
     attrs: Dict[str, Any] = field(default_factory=dict)
     children: List["SpanNode"] = field(default_factory=list)
+    #: Still open when an incident bundle froze its trace tail (its
+    #: ``end_ns`` is then its start).
+    open: bool = False
 
     @property
     def duration_ns(self) -> int:
@@ -96,6 +101,9 @@ class TraceData:
     spans: List[SpanNode]
     roots: List[SpanNode]
     dropped: int = 0
+    #: The trailing ``{"meta": ...}`` record of a JSONL trace, if any (a
+    #: bundle's tail also counts the spans recorded and kept there).
+    meta: Dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -121,24 +129,15 @@ def from_tracer(tracer, since: int = 0) -> TraceData:
     first ``since`` recorded (ring-cap evictions among them count)."""
     recorded = tracer.spans
     fresh = len(recorded) + tracer.dropped - since
-    spans = [
-        SpanNode(
-            span_id=s.span_id,
-            parent_id=s.parent_id,
-            name=s.name,
-            track=s.track,
-            start_ns=s.start_ns,
-            end_ns=s.end_ns if s.end_ns is not None else s.start_ns,
-            attrs=dict(s.attrs),
-        )
-        for s in recorded[max(len(recorded) - fresh, 0):]
-    ]
+    spans = [_node(span_record(s))
+             for s in recorded[max(len(recorded) - fresh, 0):]]
     return TraceData(spans=spans, roots=_link(spans),
                      dropped=max(fresh - len(recorded), 0))
 
 
 def load_trace(path: Union[str, IO[str]]) -> TraceData:
-    """Read a Chrome-trace or JSONL export into a span forest.
+    """Read a Chrome-trace or JSONL export, or an incident bundle's
+    ``trace_tail.jsonl``, into a span forest.
 
     Chrome exports carry span identity in each event's ``args``
     (``span_id``/``parent_id``); traces from before that scheme still
@@ -153,7 +152,7 @@ def load_trace(path: Union[str, IO[str]]) -> TraceData:
         doc = json.loads(text)
     except json.JSONDecodeError:
         doc = None
-    if isinstance(doc, dict):  # Chrome trace format
+    if isinstance(doc, dict) and "traceEvents" in doc:  # Chrome trace format
         return _load_chrome(doc)
     return _load_jsonl(text)
 
@@ -188,30 +187,53 @@ def _load_chrome(doc: dict) -> TraceData:
     return TraceData(spans=spans, roots=_link(spans), dropped=dropped)
 
 
+def _node(record: dict) -> SpanNode:
+    """One span record (:func:`~repro.obs.tracer.span_record`) as a node."""
+    start = int(record.get("start_ns", 0))
+    end = record.get("end_ns")
+    return SpanNode(
+        span_id=record.get("id"),
+        parent_id=record.get("parent"),
+        name=record["name"],
+        track=record.get("track", "main"),
+        start_ns=start,
+        end_ns=int(end) if end is not None else start,
+        attrs=dict(record.get("attrs") or {}),
+        open=bool(record.get("open")),
+    )
+
+
 def _load_jsonl(text: str) -> TraceData:
     spans: List[SpanNode] = []
-    dropped = 0
+    meta: Dict[str, Any] = {}
     for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if "meta" in rec:  # trailing drop-count record
-            dropped = int(rec["meta"].get("dropped", 0))
-            continue
-        start = int(rec.get("start_ns", 0))
-        end = rec.get("end_ns")
-        spans.append(
-            SpanNode(
-                span_id=rec.get("id"),
-                parent_id=rec.get("parent"),
-                name=rec["name"],
-                track=rec.get("track", "main"),
-                start_ns=start,
-                end_ns=int(end) if end is not None else start,
-                attrs=dict(rec.get("attrs") or {}),
-            )
-        )
-    return TraceData(spans=spans, roots=_link(spans), dropped=dropped)
+        if line.strip():
+            record = json.loads(line)
+            if "meta" in record:  # trailing drop-count record
+                meta = record["meta"]
+            else:
+                spans.append(_node(record))
+    return TraceData(spans=spans, roots=_link(spans),
+                     dropped=int(meta.get("dropped", 0)), meta=meta)
+
+
+def numeric_deltas(before: Dict[str, Any],
+                   after: Dict[str, Any]) -> List[Tuple[str, Any, Any]]:
+    """``(name, before, after)`` for every number that moved, the largest
+    move first (ties by name). A name missing on one side counts as 0
+    there; names holding anything but a number (histograms) are skipped.
+    """
+    def number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    moved = [
+        (name, before.get(name, 0), after.get(name, 0))
+        for name in sorted(set(before) | set(after))
+        if number(before.get(name, 0)) and number(after.get(name, 0))
+        and before.get(name, 0) != after.get(name, 0)
+    ]
+    moved.sort(key=lambda m: (-abs(m[2] - m[1]), m[0]))
+    return moved
 
 
 def load_or_exit(load, path: str, prog: str = ""):
@@ -404,7 +426,10 @@ class Journey:
     command/response payload); untagged descendants inherit the nearest
     tagged ancestor's id. A journey is the set of spans sharing one id —
     client op, channel transfers, owner/NS serving — regardless of which
-    enclave or process recorded them.
+    enclave or process recorded them. Ids restart in every rig, so a
+    journey is scoped by rig too: a trace's second and later rigs tag
+    their spans with ``rig`` (see :class:`~repro.obs.tracer.Tracer`),
+    and their journeys are named ``<req_id>@rig<n>``.
     """
 
     req_id: str
@@ -440,8 +465,17 @@ class Journey:
         }
 
 
+def _journey_key(node: SpanNode) -> Optional[str]:
+    """The journey a span tags itself into (see :class:`Journey`)."""
+    own = node.attrs.get("req_id")
+    if not (isinstance(own, str) and own):
+        return None
+    rig = node.attrs.get("rig")
+    return f"{own}@rig{rig}" if rig else own
+
+
 def journeys(trace: TraceData) -> List[Journey]:
-    """Group a trace's spans into per-request journeys by ``req_id``.
+    """Group a trace's spans into per-request journeys by rig and ``req_id``.
 
     Returns journeys sorted by (start, req_id); spans with no tag
     anywhere on their ancestor chain belong to no journey.
@@ -452,8 +486,7 @@ def journeys(trace: TraceData) -> List[Journey]:
 
     def walk(node: SpanNode, inherited: Optional[str],
              above: Dict[str, int]) -> None:
-        own = node.attrs.get("req_id")
-        rid = own if isinstance(own, str) and own else inherited
+        rid = _journey_key(node) or inherited
         if rid is not None:
             nodes = members.setdefault(rid, [])
             anchors.setdefault(rid, []).append(above.get(rid))
@@ -468,7 +501,7 @@ def journeys(trace: TraceData) -> List[Journey]:
     out: List[Journey] = []
     for rid, nodes in members.items():
         anchor = anchors[rid]
-        primary = min((n for n in nodes if n.attrs.get("req_id") == rid),
+        primary = min((n for n in nodes if _journey_key(n) == rid),
                       key=lambda n: (n.start_ns, n.span_id or 0))
         by_subsystem: Dict[str, int] = {}
         shares = _sweep(nodes, _journey_depths(nodes, anchor))

@@ -27,10 +27,10 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import analysis
-from repro.obs.flightrec import is_bundle
+from repro.obs.flightrec import is_bundle, load_bundle
 
 
 @dataclass
@@ -41,12 +41,13 @@ class CaptureProfile:
     total_ns: int                                   #: sum of root durations
     by_subsystem: Dict[str, int]                    #: exclusive ns per bucket
     by_name: Dict[str, Tuple[int, int]]             #: name -> (count, excl ns)
-    counters: Dict[str, float] = field(default_factory=dict)
+    #: final metric values (bundle captures only)
+    counters: Dict[str, Any] = field(default_factory=dict)
     dropped: int = 0
 
 
 def profile_trace(trace: analysis.TraceData, source: str = "trace",
-                  counters: Optional[Dict[str, float]] = None) -> CaptureProfile:
+                  counters: Optional[Dict[str, Any]] = None) -> CaptureProfile:
     """Reduce a loaded trace to a :class:`CaptureProfile`."""
     attribution = analysis.attribute(trace)
     by_name: Dict[str, List[int]] = {}
@@ -69,20 +70,13 @@ def load_capture(path: str) -> CaptureProfile:
     """Load a trace export or an incident bundle into a profile.
 
     Bundle captures profile the *trace tail* (what the flight recorder
-    retained), plus the bundle's final counter values; full trace
+    retained), plus the bundle's final metric values; full trace
     exports carry no counters.
     """
-    import os
-
     if is_bundle(path):
-        trace = analysis.load_trace(os.path.join(path, "trace_tail.jsonl"))
-        with open(os.path.join(path, "metrics.json")) as fp:
-            final = json.load(fp).get("final", {})
-        counters = {
-            name: value for name, value in sorted(final.items())
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
-        return profile_trace(trace, source=path, counters=counters)
+        bundle = load_bundle(path)
+        return profile_trace(bundle["trace"], source=path,
+                             counters=bundle["metrics"].get("final", {}))
     return profile_trace(analysis.load_trace(path), source=path)
 
 
@@ -181,20 +175,14 @@ def diff_profiles(baseline: CaptureProfile,
         name_counts[name] = (bn, cn)
         by_name.append(DiffRow(key=name, baseline_ns=bns, current_ns=cns))
     by_name.sort(key=lambda r: (-abs(r.delta_ns), r.key))
-    counter_deltas = []
-    for name in sorted(set(baseline.counters) | set(current.counters)):
-        b = baseline.counters.get(name, 0)
-        c = current.counters.get(name, 0)
-        if b != c:
-            counter_deltas.append((name, b, c))
-    counter_deltas.sort(key=lambda t: (-abs(t[2] - t[1]), t[0]))
     return PerfDiff(
         baseline=baseline,
         current=current,
         by_subsystem=by_subsystem,
         by_name=by_name,
         name_counts=name_counts,
-        counter_deltas=counter_deltas,
+        counter_deltas=analysis.numeric_deltas(baseline.counters,
+                                               current.counters),
     )
 
 

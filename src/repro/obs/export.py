@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Dict, IO, List, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.obs.analysis import TraceData, tree_exclusive
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
@@ -272,12 +272,3 @@ def dashboard_html(doc: dict, title: str = "repro serve-report") -> str:
         .replace("__TITLE__", title)
         .replace("__DATA__", payload)
     )
-
-
-def write_text(path_or_fp: Union[str, IO[str]], text: str) -> None:
-    """Write an export, path or file object alike."""
-    if isinstance(path_or_fp, str):
-        with open(path_or_fp, "w") as fp:
-            fp.write(text)
-    else:
-        path_or_fp.write(text)

@@ -10,8 +10,8 @@ figure and export.
 
 On a trigger — enclave crash, :class:`~repro.obs.audit.AuditViolation`,
 :class:`~repro.obs.slo.SloViolation`, an unhandled CLI exception, or an
-explicit ``--flightrec-dump`` — :func:`write_bundle` freezes the black
-box into an **incident bundle**: one directory of sorted-keys JSON
+explicit ``--flightrec-dump`` — :meth:`FlightRecorder.dump` freezes the
+black box into an **incident bundle**: one directory of sorted-keys JSON
 files, byte-identical for identical (seed, plan) runs because every
 timestamp is virtual and every iteration order is sorted. The bundle
 schema (see docs/OBSERVABILITY.md):
@@ -35,8 +35,11 @@ same (seed, plan) therefore produces a byte-identical bundle in
 **either** mode, which is exactly what makes a bundle comparable across
 the differential contract.
 
-``python -m repro diagnose <bundle>`` renders a bundle as a causal
-timeline around the failure point (:func:`render_diagnosis`).
+:func:`load_bundle` reads a bundle back, its trace tail through the
+one trace reader (:func:`repro.obs.analysis.load_trace`);
+``python -m repro diagnose <bundle>`` renders it as a causal timeline
+around the failure point (:func:`render_diagnosis`) and
+``python -m repro perf-diff`` profiles it like any trace capture.
 """
 
 from __future__ import annotations
@@ -46,6 +49,9 @@ import hashlib
 import json
 import os
 from typing import Any, Dict, List, Optional
+
+from repro.obs import analysis
+from repro.obs.tracer import RingBuffer, jsonl_text, span_record
 
 #: Incident-bundle schema version (bump on incompatible layout changes).
 SCHEMA_VERSION = 1
@@ -85,8 +91,6 @@ class FlightRecorder:
                  snapshot_interval_ns: int = 1_000_000,
                  max_snapshots: int = 16,
                  max_notes: int = 256):
-        from repro.obs.tracer import RingBuffer
-
         self.trace_tail = trace_tail
         self.snapshot_interval_ns = snapshot_interval_ns
         self._snapshots = RingBuffer(max_snapshots)
@@ -155,6 +159,64 @@ class FlightRecorder:
         """Retained ``(time_ns, metrics)`` snapshots, oldest first."""
         return list(self._snapshots)
 
+    # -- dumping -----------------------------------------------------------
+
+    def dump(self, out_dir: str, config: dict, kind: str = "manual.dump",
+             **detail) -> str:
+        """Freeze the black box into an incident bundle; returns ``out_dir``.
+
+        The bundle's trigger is the last one recorded (an enclave crash,
+        an audit violation, an SLO breach); with none, a ``kind`` trigger
+        with ``detail`` is recorded now, at the attached engine's clock
+        (0 with no engine), so the bundle stays deterministic. ``config``
+        lands in ``config.json`` next to the ``REPRO_*`` environment. The
+        trace tail and the final metrics come from the active context.
+        """
+        from repro.obs import context as _obs_context
+
+        trigger = self.last_trigger
+        if trigger is None:
+            now = self.engine.now if self.engine is not None else 0
+            trigger = self.trigger(kind, now, **detail)
+        ctx = _obs_context.get()
+        notes = self.notes
+        history = [
+            {"time_ns": t, "metrics": _filtered_metrics(snap)}
+            for t, snap in self.snapshots
+        ]
+        final = _filtered_metrics(ctx.snapshot()) if ctx.metrics.enabled else {}
+        docs = {
+            "metrics.json": {"final": final, "history": history},
+            "faults.json": _faults_doc(self.injector, notes),
+            "engine.json": (self.engine.state_summary()
+                            if self.engine is not None else {}),
+            "config.json": _config_doc(config),
+        }
+        texts = {"trace_tail.jsonl": _trace_tail_text(ctx.tracer,
+                                                      self.trace_tail)}
+        for name, doc in docs.items():
+            texts[name] = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        os.makedirs(out_dir, exist_ok=True)
+        files: Dict[str, dict] = {}
+        for name in BUNDLE_FILES:
+            data = texts[name].encode()
+            with open(os.path.join(out_dir, name), "wb") as fp:
+                fp.write(data)
+            files[name] = {
+                "bytes": len(data),
+                "sha256": hashlib.sha256(data).hexdigest(),
+            }
+        manifest = {
+            "schema": SCHEMA_VERSION,
+            "trigger": trigger,
+            "files": files,
+            "notes": len(notes),
+            "snapshots": len(history),
+        }
+        with open(os.path.join(out_dir, MANIFEST), "w") as fp:
+            fp.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        return out_dir
+
 
 # -- bundle writing ------------------------------------------------------------
 
@@ -167,47 +229,13 @@ def _filtered_metrics(snapshot: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _span_line(span, open_: bool = False) -> str:
-    """One trace-tail JSONL line (the tracer's export schema + ``open``)."""
-    attrs: Dict[str, Any] = {}
-    for key, value in span.attrs.items():
-        if isinstance(value, (int, float, str, bool)) or value is None:
-            attrs[key] = value
-        else:
-            attrs[key] = repr(value)
-    doc = {
-        "id": span.span_id,
-        "parent": span.parent_id,
-        "name": span.name,
-        "track": span.track,
-        "start_ns": span.start_ns,
-        "end_ns": span.end_ns,
-        "attrs": attrs,
-    }
-    if open_:
-        doc["open"] = True
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def _trace_tail_text(tracer, tail: int) -> str:
-    lines: List[str] = []
-    recorded = 0
-    dropped = 0
-    if tracer is not None and tracer.enabled:
-        recorded = len(tracer)
-        dropped = tracer.dropped
-        for span in tracer.recent(tail):
-            lines.append(_span_line(span))
-        for span in tracer.open_spans():
-            lines.append(_span_line(span, open_=True))
-    lines.append(
-        json.dumps(
-            {"meta": {"dropped": dropped, "recorded": recorded,
-                      "tail": len(lines)}},
-            sort_keys=True, separators=(",", ":"),
-        )
-    )
-    return "\n".join(lines) + "\n"
+    """The recent completed spans, the still-open ones, then a meta line."""
+    records = [span_record(span) for span in tracer.recent(tail)]
+    records += [span_record(span, open_=True) for span in tracer.open_spans()]
+    meta = {"dropped": tracer.dropped, "recorded": len(tracer),
+            "tail": len(records)}
+    return jsonl_text(records + [{"meta": meta}])
 
 
 def _faults_doc(injector, notes: List[dict]) -> dict:
@@ -249,73 +277,6 @@ def _config_doc(config: Optional[dict]) -> dict:
     }
 
 
-def write_bundle(out_dir: str, trigger: dict, *,
-                 recorder: Optional[FlightRecorder] = None,
-                 tracer=None, metrics=None, engine=None, injector=None,
-                 config: Optional[dict] = None) -> str:
-    """Freeze the black box into an incident bundle; returns ``out_dir``.
-
-    Anything not passed explicitly is resolved from ``recorder`` and the
-    ambient observability context, so trigger sites can call this with
-    just a directory and a trigger record.
-    """
-    from repro.obs import context as _obs_context
-
-    ctx = _obs_context.get()
-    if tracer is None:
-        tracer = ctx.tracer
-    if metrics is None:
-        metrics = ctx.metrics
-    tail = recorder.trace_tail if recorder is not None else 64
-    if engine is None and recorder is not None:
-        engine = recorder.engine
-    if injector is None and recorder is not None:
-        injector = recorder.injector
-    notes = recorder.notes if recorder is not None else []
-    history = [
-        {"time_ns": t, "metrics": _filtered_metrics(snap)}
-        for t, snap in (recorder.snapshots if recorder is not None else [])
-    ]
-    final = _filtered_metrics(ctx.snapshot()) if metrics.enabled else {}
-
-    texts = {
-        "trace_tail.jsonl": _trace_tail_text(tracer, tail),
-        "metrics.json": json.dumps(
-            {"final": final, "history": history}, sort_keys=True, indent=2
-        ) + "\n",
-        "faults.json": json.dumps(
-            _faults_doc(injector, notes), sort_keys=True, indent=2
-        ) + "\n",
-        "engine.json": json.dumps(
-            engine.state_summary() if engine is not None else {},
-            sort_keys=True, indent=2,
-        ) + "\n",
-        "config.json": json.dumps(
-            _config_doc(config), sort_keys=True, indent=2
-        ) + "\n",
-    }
-    os.makedirs(out_dir, exist_ok=True)
-    files: Dict[str, dict] = {}
-    for name in BUNDLE_FILES:
-        data = texts[name].encode()
-        with open(os.path.join(out_dir, name), "wb") as fp:
-            fp.write(data)
-        files[name] = {
-            "bytes": len(data),
-            "sha256": hashlib.sha256(data).hexdigest(),
-        }
-    manifest = {
-        "schema": SCHEMA_VERSION,
-        "trigger": trigger,
-        "files": files,
-        "notes": len(notes),
-        "snapshots": len(history),
-    }
-    with open(os.path.join(out_dir, MANIFEST), "w") as fp:
-        fp.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return out_dir
-
-
 # -- bundle loading ------------------------------------------------------------
 
 
@@ -325,25 +286,20 @@ def is_bundle(path: str) -> bool:
 
 
 def load_bundle(path: str) -> dict:
-    """Read an incident bundle back into plain dicts (with integrity
-    verdicts per file, so tampered/truncated evidence is called out)."""
+    """Read an incident bundle back: its JSON documents as plain dicts,
+    its trace tail as a :class:`~repro.obs.analysis.TraceData`
+    (``bundle["trace"]``), and an integrity verdict per file, so
+    tampered or truncated evidence is called out."""
     with open(os.path.join(path, MANIFEST)) as fp:
         manifest = json.load(fp)
-    spans: List[dict] = []
-    meta: Dict[str, Any] = {}
-    with open(os.path.join(path, "trace_tail.jsonl")) as fp:
-        for line in fp:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if "meta" in rec:
-                meta = rec["meta"]
-            else:
-                spans.append(rec)
-    docs = {}
-    for name in ("metrics.json", "faults.json", "engine.json", "config.json"):
+    bundle = {
+        "path": path,
+        "manifest": manifest,
+        "trace": analysis.load_trace(os.path.join(path, "trace_tail.jsonl")),
+    }
+    for name in BUNDLE_FILES[1:]:
         with open(os.path.join(path, name)) as fp:
-            docs[name.split(".", 1)[0]] = json.load(fp)
+            bundle[name.split(".", 1)[0]] = json.load(fp)
     integrity = {}
     for name, entry in sorted(manifest.get("files", {}).items()):
         try:
@@ -354,70 +310,35 @@ def load_bundle(path: str) -> dict:
             )
         except OSError:
             integrity[name] = "MISSING"
-    return {
-        "path": path,
-        "manifest": manifest,
-        "spans": spans,
-        "trace_meta": meta,
-        "metrics": docs["metrics"],
-        "faults": docs["faults"],
-        "engine": docs["engine"],
-        "config": docs["config"],
-        "integrity": integrity,
-    }
+    bundle["integrity"] = integrity
+    return bundle
 
 
 # -- diagnosis rendering -------------------------------------------------------
 
 
+def _kv(detail: dict) -> str:
+    """A trigger's or note's detail as `` k=v ...``, keys sorted."""
+    return "".join(f" {k}={detail[k]}" for k in sorted(detail))
+
+
 def _timeline_entries(bundle: dict) -> List[tuple]:
     """(time_ns, tag, description) rows, time-ordered, trigger last-at-tie."""
     entries: List[tuple] = []
-    for span in bundle["spans"]:
-        start = int(span.get("start_ns", 0))
-        end = span.get("end_ns")
-        if span.get("open"):
-            entries.append((start, 1, "OPEN",
-                            f"{span['name']} [{span.get('track', 'main')}] "
-                            "never closed"))
+    for span in bundle["trace"].spans:
+        where = f"{span.name} [{span.track}]"
+        if span.open:
+            entries.append((span.start_ns, 1, "OPEN", f"{where} never closed"))
         else:
-            dur = (int(end) - start) if end is not None else 0
-            entries.append((start, 0, "span",
-                            f"{span['name']} [{span.get('track', 'main')}] "
-                            f"{dur} ns"))
-    for note in bundle["faults"].get("notes", []):
-        detail = note.get("detail", {})
-        extra = " ".join(
-            f"{k}={detail[k]}" for k in sorted(detail)
-        )
-        entries.append((int(note.get("time_ns", 0)), 2, "note",
-                        (note.get("kind", "?") + (" " + extra if extra else ""))))
+            entries.append((span.start_ns, 0, "span",
+                            f"{where} {span.duration_ns} ns"))
     trig = bundle["manifest"].get("trigger", {})
-    detail = trig.get("detail", {})
-    extra = " ".join(f"{k}={detail[k]}" for k in sorted(detail))
-    entries.append((int(trig.get("time_ns", 0)), 3, "TRIGGER",
-                    (trig.get("kind", "?") + (" " + extra if extra else ""))))
+    events = [(note, 2, "note") for note in bundle["faults"].get("notes", [])]
+    for record, order, tag in events + [(trig, 3, "TRIGGER")]:
+        entries.append((int(record.get("time_ns", 0)), order, tag,
+                        record.get("kind", "?") + _kv(record.get("detail", {}))))
     entries.sort(key=lambda e: (e[0], e[1], e[3]))
     return entries
-
-
-def _metric_movers(bundle: dict, top: int = 8) -> List[tuple]:
-    """Largest counter movements between the last two snapshots (or the
-    final snapshot vs the earliest one when history is short)."""
-    history = bundle["metrics"].get("history", [])
-    final = bundle["metrics"].get("final", {})
-    before = history[-1]["metrics"] if history else {}
-    movers = []
-    for name in sorted(final):
-        cur = final[name]
-        if not isinstance(cur, (int, float)) or isinstance(cur, bool):
-            continue
-        prev = before.get(name, 0)
-        prev = prev if isinstance(prev, (int, float)) else 0
-        if cur != prev:
-            movers.append((name, prev, cur, cur - prev))
-    movers.sort(key=lambda m: (-abs(m[3]), m[0]))
-    return movers[:top]
 
 
 def render_diagnosis(bundle: dict, window_ns: int = 500_000) -> str:
@@ -440,8 +361,7 @@ def render_diagnosis(bundle: dict, window_ns: int = 500_000) -> str:
         f"incident bundle: {bundle['path']} (schema "
         f"{manifest.get('schema', '?')})",
         f"trigger: {trig.get('kind', '?')} at t={trig_ns} ns"
-        + ("".join(f" {k}={v}" for k, v in
-                   sorted(trig.get('detail', {}).items()))),
+        + _kv(trig.get("detail", {})),
         f"faulting window: [{lo} .. {trig_ns}] ns "
         f"({trig_ns - lo} ns, {len(in_window)} event(s))",
     ]
@@ -480,11 +400,17 @@ def render_diagnosis(bundle: dict, window_ns: int = 500_000) -> str:
         )
         parts.append(f"fault draws (seed {faults.get('seed', '?')}): "
                      + (firing or "(none fired)"))
-    movers = _metric_movers(bundle)
+    # Counter movement between the last periodic snapshot (if any) and
+    # the final one.
+    metrics = bundle["metrics"]
+    history = metrics.get("history", [])
+    movers = analysis.numeric_deltas(
+        history[-1]["metrics"] if history else {}, metrics.get("final", {})
+    )[:8]
     if movers:
         parts.append(render_table(
             ["metric", "at last snapshot", "final", "delta"],
-            [(n, p, c, f"{d:+g}") for n, p, c, d in movers],
+            [(n, p, c, f"{c - p:+g}") for n, p, c in movers],
             title="metric movement since the last periodic snapshot:",
         ))
     return "\n\n".join(parts)
@@ -511,13 +437,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     try:
         bundle = load_bundle(args.bundle)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"{args.bundle}: unreadable bundle ({exc})")
     if args.json:
-        print(json.dumps(
-            {k: bundle[k] for k in sorted(bundle) if k != "path"},
-            sort_keys=True, indent=2,
-        ))
+        doc = {k: v for k, v in bundle.items() if k not in ("path", "trace")}
+        trace = bundle["trace"]
+        doc["spans"] = [span_record(span, span.open) for span in trace.spans]
+        doc["trace_meta"] = trace.meta
+        print(json.dumps(doc, sort_keys=True, indent=2))
     else:
         print(render_diagnosis(bundle, window_ns=args.window_ns))
     return 1 if any(

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import bisect
 import json
-from typing import Dict, IO, List, Optional, Sequence, Union
+from typing import Dict, IO, List, Sequence, Union
 
+from repro.obs.tracer import write_text
 from repro.sim.record import SeriesStats
 
 #: Default histogram buckets (ns-oriented: 1 µs .. 100 ms, then +inf).
@@ -226,11 +227,7 @@ class MetricsRegistry:
     def to_json(self, fp: Union[str, IO[str], None] = None) -> str:
         """Serialize the snapshot deterministically; optionally write it."""
         text = json.dumps(self.snapshot(), sort_keys=True, indent=2)
-        if isinstance(fp, str):
-            with open(fp, "w") as f:
-                f.write(text)
-        elif fp is not None:
-            fp.write(text)
+        write_text(fp, text)
         return text
 
     def clear(self) -> None:

@@ -32,14 +32,9 @@ from typing import List, Optional
 
 from repro import obs
 from repro.obs import analysis
-from repro.obs import flightrec as flightrec_mod
-from repro.obs.export import (
-    dashboard_html,
-    folded_stacks,
-    prometheus_text,
-    write_text,
-)
+from repro.obs.export import dashboard_html, folded_stacks, prometheus_text
 from repro.obs.slo import SloSpec, evaluate
+from repro.obs.tracer import write_text
 from repro.workloads.sessions import SessionConfig, run_sessions
 
 #: Metric prefixes excluded from every export: the two families that
@@ -121,16 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     all_journeys = analysis.journeys(trace)
     slo_report = evaluate(specs, ctx.timeseries,
                           journeys=all_journeys, trace=trace)
-    if not slo_report.ok:
-        # Feed the verdicts into the black box: each breached window is a
-        # note, the earliest breach becomes the incident trigger.
-        recorder = ctx.flightrec
-        for v in slo_report.violations:
-            recorder.note("slo.violation", v.time_ns, slo=v.slo,
-                          detail=v.detail)
-        first = slo_report.violations[0]
-        recorder.trigger("slo.violation", first.time_ns, slo=first.slo,
-                         detail=first.detail)
     top_journeys = analysis.longest_journeys(all_journeys, args.journeys)
 
     lines = report.lines()
@@ -189,15 +174,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             write_text(path, text)
             print(f"[{name}: {len(text)} bytes -> {path}]")
         if not slo_report.ok:
-            bundle_path = flightrec_mod.write_bundle(
+            # Feed the verdicts into the black box: each breached window
+            # is a note, the earliest breach is the incident trigger.
+            recorder = ctx.flightrec
+            for v in slo_report.violations:
+                recorder.note("slo.violation", v.time_ns, slo=v.slo,
+                              detail=v.detail)
+            first = slo_report.violations[0]
+            recorder.trigger("slo.violation", first.time_ns, slo=first.slo,
+                             detail=first.detail)
+            bundle_path = recorder.dump(
                 os.path.join(args.out_dir, "incident-slo"),
-                ctx.flightrec.last_trigger,
-                recorder=ctx.flightrec,
-                config={
-                    "command": "serve-report",
-                    "seed": cfg.seed,
-                    "slos": [s.raw for s in specs],
-                },
+                {"command": "serve-report", "seed": cfg.seed,
+                 "slos": [s.raw for s in specs]},
             )
             print(f"[incident bundle: {bundle_path}]")
 

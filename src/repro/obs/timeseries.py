@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracer import RingBuffer
+from repro.obs.tracer import RingBuffer, write_text
 
 #: Default tumbling-window width: one simulated millisecond.
 DEFAULT_WINDOW_NS = 1_000_000
@@ -231,11 +231,7 @@ class TimeSeriesRecorder:
         """Serialize the series deterministically; optionally write it."""
         text = json.dumps(self.to_doc(exclude_prefixes), sort_keys=True,
                           indent=2)
-        if isinstance(fp, str):
-            with open(fp, "w") as f:
-                f.write(text)
-        elif fp is not None:
-            fp.write(text)
+        write_text(fp, text)
         return text
 
 

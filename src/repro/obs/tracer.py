@@ -21,11 +21,16 @@ Exports:
   per :attr:`Span.track` (enclaves, cores, devices), so a Perfetto
   timeline shows one lane per enclave/device.
 * :meth:`Tracer.to_jsonl` — one JSON object per span, streaming-friendly.
+
+Both exports, and an incident bundle's trace tail, carry each span as
+the one record :func:`span_record` builds; :func:`repro.obs.analysis.
+load_trace` reads all three back.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterator, List, Optional, Union
@@ -160,18 +165,32 @@ class Tracer:
         #: Spans entered but not yet exited, by id — the auditor attaches
         #: these as "what was in flight" context on a violation.
         self._open: Dict[int, Span] = {}
+        #: A weak reference to the engine of the latest span, and how
+        #: many engines came before it: every rig builds its own engine
+        #: and restarts its request ids, so spans of the second and later
+        #: rigs carry a ``rig`` attribute that keeps their journeys
+        #: apart. A trace of one rig carries none.
+        self._engine: Optional[weakref.ref] = None
+        self._rig = 0
 
     # -- recording -----------------------------------------------------------
 
     def span(self, name: str, engine, track: str = "main", **attrs) -> Union[_OpenSpan, _NullSpan]:
         """A context manager recording ``name`` from now until exit.
 
-        ``engine`` supplies the virtual clock (``engine.now``); ``track``
-        names the Perfetto lane (enclave, core, device) the span renders
-        on. Extra keyword arguments become span attributes.
+        ``engine`` supplies the virtual clock (``engine.now``) and names
+        the rig; ``track`` names the Perfetto lane (enclave, core,
+        device) the span renders on. Extra keyword arguments become span
+        attributes.
         """
         if not self.enabled:
             return NULL_SPAN
+        if self._engine is None or self._engine() is not engine:
+            if self._engine is not None:
+                self._rig += 1
+            self._engine = weakref.ref(engine)
+        if self._rig:
+            attrs["rig"] = self._rig
         self._seq += 1
         key = getattr(engine, "current_process", None)
         stack = self._stacks.get(key)
@@ -189,6 +208,8 @@ class Tracer:
         """Record a zero-duration event at an explicit virtual time."""
         if not self.enabled:
             return
+        if self._rig:
+            attrs["rig"] = self._rig
         self._seq += 1
         # Instants carry no engine handle, so only the process-less
         # stack can supply a parent; in-process instants record as roots.
@@ -245,20 +266,13 @@ class Tracer:
         self._buf.clear()
         self._stacks.clear()
         self._open.clear()
+        self._engine = None
+        self._rig = 0
 
     def __len__(self) -> int:
         return len(self._buf)
 
     # -- export --------------------------------------------------------------
-
-    def _json_attrs(self, span: Span) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        for key, value in span.attrs.items():
-            if isinstance(value, (int, float, str, bool)) or value is None:
-                out[key] = value
-            else:
-                out[key] = repr(value)
-        return out
 
     def chrome_events(self) -> List[dict]:
         """The ``traceEvents`` list of the Chrome trace format.
@@ -290,7 +304,15 @@ class Tracer:
             )
         for span in self._buf:
             end_ns = span.end_ns if span.end_ns is not None else span.start_ns
-            event = {
+            record = span_record(span)
+            # Span identity rides in args so trees survive the Chrome
+            # round trip (repro.obs.analysis rebuilds parent/child links
+            # from these; Perfetto just shows them as extra attributes).
+            args = record["attrs"]
+            args["span_id"] = record["id"]
+            if record["parent"] is not None:
+                args["parent_id"] = record["parent"]
+            events.append({
                 "ph": "X",
                 "name": span.name,
                 "cat": span.name.split(".", 1)[0],
@@ -298,16 +320,8 @@ class Tracer:
                 "tid": tids[span.track],
                 "ts": span.start_ns / 1000.0,
                 "dur": (end_ns - span.start_ns) / 1000.0,
-            }
-            args = self._json_attrs(span)
-            # Span identity rides in args so trees survive the Chrome
-            # round trip (repro.obs.analysis rebuilds parent/child links
-            # from these; Perfetto just shows them as extra attributes).
-            args["span_id"] = span.span_id
-            if span.parent_id is not None:
-                args["parent_id"] = span.parent_id
-            event["args"] = args
-            events.append(event)
+                "args": args,
+            })
         return events
 
     def to_chrome(self, fp: Union[str, IO[str]]) -> None:
@@ -317,12 +331,7 @@ class Tracer:
             "otherData": {"dropped_spans": self.dropped},
             "traceEvents": self.chrome_events(),
         }
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        if isinstance(fp, str):
-            with open(fp, "w") as f:
-                f.write(text)
-        else:
-            fp.write(text)
+        write_text(fp, _compact(doc))
 
     def to_jsonl(self, fp: Union[str, IO[str]]) -> None:
         """Write one JSON object per span (deterministic bytes).
@@ -331,34 +340,51 @@ class Tracer:
         records the drop count so downstream analysis can warn instead of
         silently summarizing a truncated trace.
         """
-        lines = []
-        for span in self._buf:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": span.span_id,
-                        "parent": span.parent_id,
-                        "name": span.name,
-                        "track": span.track,
-                        "start_ns": span.start_ns,
-                        "end_ns": span.end_ns,
-                        "attrs": self._json_attrs(span),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
+        records = [span_record(span) for span in self._buf]
         if self.dropped:
-            lines.append(
-                json.dumps(
-                    {"meta": {"dropped": self.dropped}},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        text = "\n".join(lines) + ("\n" if lines else "")
-        if isinstance(fp, str):
-            with open(fp, "w") as f:
-                f.write(text)
-        else:
+            records.append({"meta": {"dropped": self.dropped}})
+        write_text(fp, jsonl_text(records))
+
+
+def span_record(span, open_: bool = False) -> Dict[str, Any]:
+    """The one JSON record of a span: a JSONL export line, the source of
+    a Chrome event's ``args``, and an incident bundle's trace-tail line
+    (which flags a span still open when the bundle froze with ``open``).
+
+    Attribute values JSON cannot carry are exported as their ``repr``.
+    """
+    record = {
+        "id": span.span_id,
+        "parent": span.parent_id,
+        "name": span.name,
+        "track": span.track,
+        "start_ns": span.start_ns,
+        "end_ns": None if open_ else span.end_ns,
+        "attrs": {
+            key: value
+            if isinstance(value, (int, float, str, bool)) or value is None
+            else repr(value)
+            for key, value in span.attrs.items()
+        },
+    }
+    if open_:
+        record["open"] = True
+    return record
+
+
+def _compact(doc: Any) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def jsonl_text(records: List[dict]) -> str:
+    """Records as JSON lines (sorted keys, compact), newline-terminated."""
+    return "".join(_compact(record) + "\n" for record in records)
+
+
+def write_text(dest: Union[str, IO[str], None], text: str) -> None:
+    """Write an export to a path or an open text file (``None``: nowhere)."""
+    if isinstance(dest, str):
+        with open(dest, "w") as fp:
             fp.write(text)
+    elif dest is not None:
+        dest.write(text)

@@ -36,8 +36,8 @@ from repro.faults import reporting
 from repro.faults.inject import arm
 from repro.faults.plan import FaultPlan
 from repro.hw.costs import PAGE_4K
-from repro.obs import flightrec as flightrec_mod
 from repro.obs.metrics import Histogram
+from repro.obs.tracer import write_text
 from repro.workloads.sessions import ATTACH_BOUNDS
 from repro.xemem import (
     XememError, XememOverload, XememTimeout, XpmemApi,
@@ -555,17 +555,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                        max_trace_events=FLIGHTREC_TRACE_CAP,
                        flightrec=True) as ctx:
         protected, baseline = run_soak_pair(cfg)
-        recorder = ctx.flightrec
-        verdicts = protected.verdicts()
-        for name in sorted(verdicts):
-            if not verdicts[name]["ok"]:
-                recorder.note("slo.violation", protected.end_ns, slo=name,
-                              detail=verdicts[name]["detail"])
-        breached = [n for n in sorted(verdicts) if not verdicts[n]["ok"]]
-        if breached:
-            recorder.trigger("slo.violation", protected.end_ns,
-                             slo=breached[0],
-                             detail=verdicts[breached[0]]["detail"])
+    verdicts = protected.verdicts()
+    breached = [n for n in sorted(verdicts) if not verdicts[n]["ok"]]
 
     for report in (protected, baseline):
         print("\n".join(report.lines()))
@@ -579,23 +570,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        with open(args.out, "w") as fp:
-            fp.write(text)
+        write_text(args.out, text)
         print(f"\n[BENCH_serving.json: {len(text)} bytes -> {args.out}]")
 
     if breached:
         if args.bundle_dir:
-            bundle_path = flightrec_mod.write_bundle(
+            recorder = ctx.flightrec
+            for name in breached:
+                recorder.note("slo.violation", protected.end_ns, slo=name,
+                              detail=verdicts[name]["detail"])
+            recorder.trigger("slo.violation", protected.end_ns,
+                             slo=breached[0],
+                             detail=verdicts[breached[0]]["detail"])
+            bundle_path = recorder.dump(
                 os.path.join(args.bundle_dir, "incident-slo"),
-                recorder.last_trigger,
-                recorder=recorder,
-                config={
-                    "command": "soak",
-                    "seed": cfg.seed,
-                    "plan": cfg.plan_spec,
-                    "overload": cfg.overload_spec,
-                    "breached": breached,
-                },
+                {"command": "soak", "seed": cfg.seed, "plan": cfg.plan_spec,
+                 "overload": cfg.overload_spec, "breached": breached},
             )
             print("\n".join(reporting.bundle_line(bundle_path)))
         return 4

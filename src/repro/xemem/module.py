@@ -1031,21 +1031,15 @@ class XememModule:
         """Owner side: wake local waiters, notify remote subscribers.
 
         Notifications are lossy toward departed enclaves (their routes
-        are gone); that mirrors real doorbells — nobody is listening.
+        are gone); that mirrors real doorbells — nobody is listening —
+        and each lost one counts in ``xemem.msgs.undeliverable``.
         """
         self._deliver_signal(segid)
         for enclave_id in targets:
             msg = C.make_command(
                 C.SEGID_NOTIFY, self.my_id, enclave_id, segid=int(segid)
             )
-
-            def lossy_send(msg=msg):
-                try:
-                    yield from self._send(msg)
-                except (RoutingError, ChannelClosedError):
-                    pass
-
-            self.engine.spawn(lossy_send(), name="notify")
+            self.engine.spawn(self._send_safely(msg), name="notify")
 
     def subscribe_signals(self, proc, segid: SegmentId):
         """Generator: register this enclave for ``segid``'s doorbell.

@@ -77,6 +77,28 @@ def test_jsonl_export_round_trips_the_tree_and_drop_count():
     assert trace.dropped == 3
 
 
+def test_one_line_jsonl_is_not_mistaken_for_a_chrome_trace():
+    tr = Tracer()
+    with tr.span("op", Engine(), n=1):
+        pass
+    buf = io.StringIO()
+    tr.to_jsonl(buf)
+    (span,) = analysis.load_trace(io.StringIO(buf.getvalue())).spans
+    assert (span.name, span.attrs) == ("op", {"n": 1})
+
+
+def test_bundle_tail_keeps_open_flag_and_meta():
+    tail = (
+        '{"attrs":{},"end_ns":null,"id":4,"name":"xemem.attach",'
+        '"open":true,"parent":null,"start_ns":70,"track":"linux"}\n'
+        '{"meta":{"dropped":2,"recorded":9,"tail":1}}\n'
+    )
+    trace = analysis.load_trace(io.StringIO(tail))
+    (span,) = trace.spans
+    assert span.open and span.duration_ns == 0
+    assert trace.dropped == 2 and trace.meta["recorded"] == 9
+
+
 def test_orphan_parent_ids_become_roots():
     spans = [node("a", 0, 100, span_id=1, parent_id=999)]
     trace = analysis.TraceData(spans=spans, roots=analysis._link(spans))

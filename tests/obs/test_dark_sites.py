@@ -113,7 +113,7 @@ def test_observed_sites_record_pinned_values(trace, metrics):
               "req_id": 9}),
             ("pisces.transfer", 0, 1_514_000,
              {"kind": "attach_resp", "npfns": 30_000, "chunks": 4,
-              "marshal_ns": 1_500_000}),
+              "marshal_ns": 1_500_000, "rig": 1}),
         ]
     else:
         assert spans == []

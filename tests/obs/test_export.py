@@ -4,13 +4,9 @@ import json
 import re
 
 from repro.obs.analysis import SpanNode, TraceData, _link
-from repro.obs.export import (
-    dashboard_html,
-    folded_stacks,
-    prometheus_text,
-    write_text,
-)
+from repro.obs.export import dashboard_html, folded_stacks, prometheus_text
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import write_text
 
 
 def node(name, start, end, span_id=None, parent_id=None, **attrs):

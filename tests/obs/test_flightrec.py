@@ -56,8 +56,8 @@ def test_crash_emits_complete_bundle(tmp_path):
     assert bundle["manifest"]["trigger"]["kind"] == "enclave.crash"
     assert bundle["manifest"]["trigger"]["detail"]["enclave"] == "kitten1"
     # the tail holds real spans and the recorder's bookkeeping line
-    assert bundle["spans"]
-    assert bundle["trace_meta"]["recorded"] >= len(bundle["spans"])
+    assert bundle["trace"].spans
+    assert bundle["trace"].meta["recorded"] >= len(bundle["trace"].spans)
 
 
 def test_bundle_byte_identical_across_reruns(tmp_path):

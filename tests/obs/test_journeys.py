@@ -144,3 +144,39 @@ def test_journey_doc_and_render():
     assert list(doc["by_subsystem"]) == ["xemem", "channel"]
     text = analysis.render_journeys([j])
     assert "linux:1" in text and "xemem.attach" in text
+
+
+def test_same_req_id_in_two_rigs_is_two_journeys():
+    # request ids restart in every rig; the tracer tags spans of a
+    # trace's second and later rigs with ``rig``
+    spans = [
+        node("xemem.make", 0, 1000, span_id=1, req_id="kitten0:2"),
+        node("xemem.make", 0, 1500, span_id=2, req_id="kitten0:2", rig=1),
+        node("pisces.transfer", 100, 500, span_id=3, parent_id=2),
+    ]
+    js = analysis.journeys(trace_of(*spans))
+    assert [(j.req_id, j.span_count, j.duration_ns) for j in js] == [
+        ("kitten0:2", 1, 1000), ("kitten0:2@rig1", 2, 1500),
+    ]
+
+
+def test_explain_capture_journeys_stay_within_one_rig(tmp_path, capsys):
+    """``explain`` builds a native rig, then a VM rig, in one traced run;
+    its journeys must be exactly those of the two rigs traced apart."""
+    from repro import obs
+    from repro.__main__ import main
+    from repro.bench.explain import explain_native_attach, explain_vm_attach
+
+    path = str(tmp_path / "e.json")
+    assert main(["explain", "--trace", path]) == 0
+    capsys.readouterr()
+    apart = []
+    for run in (explain_native_attach, explain_vm_attach):
+        with obs.observing(trace=True, metrics=False) as ctx:
+            run()
+        apart += analysis.journeys(analysis.from_tracer(ctx.tracer))
+
+    def shape(js):
+        return sorted((j.op, j.span_count, j.duration_ns) for j in js)
+
+    assert shape(analysis.journeys(analysis.load_trace(path))) == shape(apart)

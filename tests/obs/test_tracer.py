@@ -176,6 +176,22 @@ def test_jsonl_export_round_trips():
     assert by_name["xemem.detach"]["start_ns"] == by_name["xemem.detach"]["end_ns"]
 
 
+def test_spans_of_a_later_engine_carry_their_rig():
+    """One engine per rig: a one-rig trace gains no attribute, and spans
+    of the second rig (instants included) carry ``rig``."""
+    tr = Tracer()
+    first, second = Engine(), Engine()
+    with tr.span("a", first):
+        pass
+    with tr.span("b", second):
+        pass
+    tr.instant("c", 0)
+    with tr.span("d", second):
+        pass
+    assert [s.attrs for s in tr.spans] == [{}, {"rig": 1}, {"rig": 1},
+                                           {"rig": 1}]
+
+
 def test_non_json_attrs_fall_back_to_repr():
     eng = Engine()
     tr = Tracer()

@@ -259,3 +259,37 @@ def test_serve_report_fail_on_violation_exit_code(capsys):
 def test_serve_report_rejects_bad_slo_spec():
     with pytest.raises(SystemExit):
         main(["serve-report", "--slo", "not a spec"])
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("args, status", [
+    (["list"], 0),
+    (["lint", "src/repro/lint/rules", "--format", "json"], 0),
+    (["lint", "DIRTY"], 1),
+])
+def test_closed_stdout_exits_quietly_with_the_computed_status(
+        args, status, unbuffered, tmp_path):
+    """A reader that closes the pipe first (``| head``) costs the command
+    its output, never a traceback or its exit status."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    from tests.lint.test_cli import DIRTY_FIXTURE
+
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    if args[-1] == "DIRTY":
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text(DIRTY_FIXTURE)
+        args = [args[0], str(dirty)]
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"),
+               PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", *args], cwd=repo, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()   # the reader is gone before the first write
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == status, stderr
+    assert "Traceback" not in stderr and "BrokenPipe" not in stderr

@@ -160,3 +160,26 @@ def test_insitu_notify_mode_works_and_is_not_slower(config_name):
 def test_bad_signal_mode_rejected():
     with pytest.raises(ValueError):
         InSituConfig(signal_mode="semaphore")
+
+
+def test_signal_to_departed_subscriber_counts_undeliverable():
+    """The owner (here the name-server enclave, which has no route to
+    fall back on) still lists a subscriber that has since departed; the
+    doorbell toward it has no route, and the loss is counted."""
+    from repro import obs
+
+    with obs.observing(trace=False, metrics=True) as ctx:
+        rig = build_system(num_cokernels=1)
+        eng = rig["engine"]
+        linux = rig["linux"].kernel
+        owner = linux.create_process("owner", core_id=1)
+        region = eng.run_process(linux.mmap_anonymous(owner, PAGE_4K))
+        api_o = XpmemApi(owner)
+        segid = eng.run_process(api_o.xpmem_make(region.start, PAGE_4K))
+        kitten = rig["cokernels"][0]
+        api_s = XpmemApi(kitten.kernel.create_process("subscriber"))
+        eng.run_process(api_s.xpmem_subscribe(segid))
+        rig["system"].shutdown_enclave(kitten)
+        eng.run_process(api_o.xpmem_signal(segid))
+        eng.run()
+    assert ctx.snapshot().get("xemem.msgs.undeliverable") == 1
