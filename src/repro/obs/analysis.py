@@ -226,12 +226,11 @@ def numeric_deltas(before: Dict[str, Any],
     def number(value) -> bool:
         return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    moved = [
-        (name, before.get(name, 0), after.get(name, 0))
-        for name in sorted(set(before) | set(after))
-        if number(before.get(name, 0)) and number(after.get(name, 0))
-        and before.get(name, 0) != after.get(name, 0)
-    ]
+    moved = []
+    for name in sorted(set(before) | set(after)):
+        old, new = before.get(name, 0), after.get(name, 0)
+        if number(old) and number(new) and old != new:
+            moved.append((name, old, new))
     moved.sort(key=lambda m: (-abs(m[2] - m[1]), m[0]))
     return moved
 
