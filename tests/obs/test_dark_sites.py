@@ -38,7 +38,8 @@ def build():
 
 def scenario():
     """A 13-chunk IPI burst and a one-round control message on a fast
-    rig, then a 4-chunk per-round transfer on a detailed rig; returns
+    rig, then a 4-chunk per-round transfer on a detailed rig (the
+    trace's second engine, so its span carries ``rig: 1``); returns
     both clocks."""
     pfns = np.arange(100_000, dtype=np.int64)
     with fidelity.fast():
