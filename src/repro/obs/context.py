@@ -68,6 +68,8 @@ class ObsContext:
         #: installs no engine hook and records nothing until a hook site
         #: feeds it, so it never perturbs the zero-cost contract.
         self.flightrec = flightrec
+        if flightrec is not None:
+            flightrec.ctx = self
 
     @property
     def enabled(self) -> bool:

@@ -1,7 +1,7 @@
 """The flight recorder: an always-on black box plus incident bundles.
 
 A :class:`FlightRecorder` keeps a bounded window of "what just happened"
-— recent/open spans (via the ambient ring-capped tracer), periodic
+— recent/open spans (via its context's ring-capped tracer), periodic
 metric snapshots, armed fault draws, and an engine state summary — at
 near-zero cost while nothing fails. It installs **no engine hook** (an
 engine observer would force per-event dispatch and disable the batched
@@ -78,7 +78,7 @@ MANIFEST = "MANIFEST.json"
 
 
 class FlightRecorder:
-    """Bounded black box riding on the ambient observability context.
+    """Bounded black box riding on the observability context it is armed on.
 
     Cheap by construction: ``note()``/``trigger()`` append to ring
     buffers, ``tick()`` snapshots the metrics registry at most once per
@@ -91,6 +91,8 @@ class FlightRecorder:
                  snapshot_interval_ns: int = 1_000_000,
                  max_snapshots: int = 16,
                  max_notes: int = 256):
+        if trace_tail < 0:
+            raise ValueError(f"trace_tail must be >= 0, got {trace_tail}")
         self.trace_tail = trace_tail
         self.snapshot_interval_ns = snapshot_interval_ns
         self._snapshots = RingBuffer(max_snapshots)
@@ -102,6 +104,10 @@ class FlightRecorder:
         #: Latest engine/injector seen (rigs attach themselves on build).
         self.engine = None
         self.injector = None
+        #: The observability context this recorder is armed on (set by
+        #: :class:`~repro.obs.context.ObsContext`); None reads the ambient
+        #: one.
+        self.ctx = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -130,7 +136,7 @@ class FlightRecorder:
         return record
 
     def tick(self, now_ns: int) -> None:
-        """Snapshot the ambient metrics at most once per interval.
+        """Snapshot the context's metrics at most once per interval.
 
         Hook sites call this opportunistically (fault draws, audit
         cadence); between calls the recorder costs nothing.
@@ -141,11 +147,17 @@ class FlightRecorder:
             now_ns - now_ns % self.snapshot_interval_ns
             + self.snapshot_interval_ns
         )
-        from repro.obs import context as _obs_context
-
-        ctx = _obs_context.get()
+        ctx = self._context()
         if ctx.metrics.enabled:
             self._snapshots.append((int(now_ns), ctx.snapshot()))
+
+    def _context(self):
+        """The context this recorder is armed on, else the ambient one."""
+        if self.ctx is not None:
+            return self.ctx
+        from repro.obs import context as _obs_context
+
+        return _obs_context.get()
 
     # -- introspection -----------------------------------------------------
 
@@ -170,15 +182,15 @@ class FlightRecorder:
         with ``detail`` is recorded now, at the attached engine's clock
         (0 with no engine), so the bundle stays deterministic. ``config``
         lands in ``config.json`` next to the ``REPRO_*`` environment. The
-        trace tail and the final metrics come from the active context.
+        trace tail and the final metrics come from the context the
+        recorder is armed on, so a dump after that scope has exited still
+        sees them.
         """
-        from repro.obs import context as _obs_context
-
         trigger = self.last_trigger
         if trigger is None:
             now = self.engine.now if self.engine is not None else 0
             trigger = self.trigger(kind, now, **detail)
-        ctx = _obs_context.get()
+        ctx = self._context()
         notes = self.notes
         history = [
             {"time_ns": t, "metrics": _filtered_metrics(snap)}

@@ -252,7 +252,7 @@ class Tracer:
     def recent(self, n: int = 8) -> List[Span]:
         """The ``n`` most recently completed spans, oldest first."""
         items = list(self._buf)
-        return items[-n:]
+        return items[-n:] if n > 0 else []
 
     def tracks(self) -> List[str]:
         """Distinct track names in first-appearance order."""

@@ -60,8 +60,7 @@ class XememModule:
         self.attacher = Attacher()
         self.replay = ReplayCache()
         # -- transport state --
-        self._pending: Dict[str, object] = {}      # req_id -> Event
-        self._ping_pending: Dict[str, object] = {} # token -> Event
+        self._pending: Dict[str, object] = {}  # req_id or ping token -> Event
         self._forwarded: Dict[str, Channel] = {}   # discovery req_id -> origin
         self._req_counter = itertools.count()
         #: waiter side of the doorbells: segid -> [pending signal count,
@@ -71,10 +70,6 @@ class XememModule:
         #: set by PiscesManager.crash_enclave; a crashed module drops all
         #: traffic and never raises out of handlers
         self.crashed = False
-        #: explicit per-module request policy override (tests); None means
-        #: "use the armed fault plan's policy, or park forever when none"
-        self.request_timeout_ns: Optional[int] = None
-        self.max_request_retries = 4
         #: name-server restart outage: drop NS traffic until this time
         self._ns_down_until = 0
         # -- overload protection (default off; one attribute check on the
@@ -130,40 +125,45 @@ class XememModule:
                 raise
             obs.get().counter("faults.handlers.aborted").inc()
 
-    def _send(self, msg: KernelMessage):
-        """Generator: send one hop according to the routing rule."""
-        dst = msg.payload.get("dst")
-        if dst is None:
-            if self.is_name_server:
-                # we ARE the name server: resolve/handle without a hop
-                yield from self._handle_at_name_server(msg)
-                return
-            channel = self.routing.ns_channel
-            if channel is None:
-                raise XememError(
-                    f"enclave {self.enclave.name!r} has no name-server path"
+    def _send(self, msg: KernelMessage, channel: Optional[Channel] = None):
+        """Generator: send one hop, on ``channel`` when given (discovery
+        traffic, which no route exists for yet), else by the routing rule."""
+        if channel is None:
+            dst = msg.payload.get("dst")
+            if dst is None:
+                if self.is_name_server:
+                    # we ARE the name server: resolve/handle without a hop
+                    yield from self._handle_at_name_server(msg)
+                    return
+                channel = self.routing.ns_channel
+                if channel is None:
+                    raise XememError(
+                        f"enclave {self.enclave.name!r} has no name-server path"
+                    )
+            elif dst == self.my_id:
+                # a response addressed to ourselves (e.g. the name server
+                # serving a segment it also owns): deliver locally
+                self.engine.spawn(
+                    self._handle_safely(msg, channel=None),
+                    name=f"xemem-local:{msg.kind}",
                 )
-        elif dst == self.my_id:
-            # a response addressed to ourselves (e.g. the name server
-            # serving a segment it also owns): deliver locally
-            self.engine.spawn(
-                self._handle_safely(msg, channel=None),
-                name=f"xemem-local:{msg.kind}",
-            )
-            return
-        else:
-            channel = self.routing.channel_for(dst)
+                return
+            else:
+                channel = self.routing.channel_for(dst)
         yield from channel.send(self.enclave, msg)
 
-    def _spawn_send(self, msg: KernelMessage) -> None:
-        self.engine.spawn(self._send_safely(msg), name=f"send:{msg.kind}")
+    def _post(self, msg: KernelMessage, channel: Optional[Channel] = None,
+              name: Optional[str] = None) -> None:
+        """Fire-and-forget :meth:`_send` in a process of its own."""
+        self.engine.spawn(self._send_safely(msg, channel),
+                          name=name or f"send:{msg.kind}")
 
-    def _send_safely(self, msg: KernelMessage):
-        """Spawned-send wrapper: the destination may have crashed between
+    def _send_safely(self, msg: KernelMessage, channel: Optional[Channel]):
+        """Posted-send wrapper: the destination may have crashed between
         queueing and delivery; a lost response surfaces as the requester's
         timeout, not as an unwaited exception."""
         try:
-            yield from self._send(msg)
+            yield from self._send(msg, channel)
         except (RoutingError, ChannelClosedError, XememError):
             obs.get().counter("xemem.msgs.undeliverable").inc()
 
@@ -172,8 +172,6 @@ class XememModule:
         the response with no timer: the fault-free channel always
         delivers, and the far side always answers (with a result or, when
         overload is armed, a paced rejection worth retrying)."""
-        if self.request_timeout_ns is not None:
-            return self.request_timeout_ns, self.max_request_retries, 2
         injector = self.engine.faults
         if injector is not None and injector.active:
             plan = injector.plan
@@ -181,6 +179,32 @@ class XememModule:
         if self.overload is not None:
             return None, self.overload.cfg.max_client_retries, 1
         return None, 0, 1
+
+    def _expect(self, key: str, name: str):
+        """Register an Event for the reply correlated by ``key`` (a req_id
+        or a discovery ping token; both come from :meth:`_next_req_id`)."""
+        event = self.engine.event(name=name)
+        self._pending[key] = event
+        return event
+
+    def _unexpect(self, key: str, event) -> None:
+        """Unregister ``event`` if it is still ``key``'s waiter."""
+        if self._pending.get(key) is event:
+            del self._pending[key]
+
+    def _await_reply(self, key: str, event, deadline_ns: Optional[int]):
+        """Generator: the reply :meth:`_expect` registered, or None once
+        ``deadline_ns`` expires (None waits with no timer)."""
+        if deadline_ns is None:
+            return (yield event)
+        which, reply = yield self.engine.any_of(
+            [event, self.engine.sleep(deadline_ns)]
+        )
+        if which == 0:
+            return reply
+        self._unexpect(key, event)
+        obs.get().counter("xemem.req.timeouts").inc()
+        return None
 
     @staticmethod
     def _check_response(resp: KernelMessage) -> KernelMessage:
@@ -198,14 +222,24 @@ class XememModule:
             raise XememError(error)
         return resp
 
+    def _call(self, kind: str, span=NULL_SPAN, **fields):
+        """The :meth:`_request` generator for one user-op command routed by
+        the name server; its req_id is allocated here and tagged on ``span``.
+        Not a generator itself, so it adds no frame to the request's resumes."""
+        req_id = self._next_req_id()
+        span.set(req_id=req_id)
+        return self._request(
+            C.make_command(kind, self.my_id, None, req_id=req_id, **fields)
+        )
+
     def _request(self, msg: KernelMessage):
         """Generator: send and wait for the correlated response.
 
         Returns the response message; raises :class:`XememError` if the
         response carries an error field. With a deadline (a fault plan
-        armed, or an explicit ``request_timeout_ns``) each unanswered
-        attempt times out and is retried under exponential backoff;
-        :class:`XememTimeout` is raised when the attempts run out.
+        armed) each unanswered attempt times out and is retried under
+        exponential backoff; :class:`XememTimeout` is raised when the
+        attempts run out.
         Retries reuse the req_id, so receivers can deduplicate replays.
 
         With overload protection armed, backpressure is honored: (a) a
@@ -235,42 +269,32 @@ class XememModule:
         deadline_ns, attempts, backoff = self._request_policy()
         last_overload: Optional[XememOverload] = None
         for attempt in range(attempts + 1):
-            event = self.engine.event(name=f"req:{req_id}#{attempt}")
-            self._pending[req_id] = event
+            event = self._expect(req_id, f"req:{req_id}#{attempt}")
             try:
                 yield from self._send(msg)
             except (RoutingError, ChannelClosedError) as err:
-                if self._pending.get(req_id) is event:
-                    del self._pending[req_id]
+                self._unexpect(req_id, event)
                 raise XememError(
                     f"cannot deliver {msg.kind} from {self.enclave.name!r}: {err}"
                 )
-            if deadline_ns is None:
-                resp: KernelMessage = yield event
-            else:
-                which, resp = yield self.engine.any_of(
-                    [event, self.engine.sleep(deadline_ns)]
-                )
-                if which != 0:
-                    if self._pending.get(req_id) is event:
-                        del self._pending[req_id]
-                    o.counter("xemem.req.timeouts").inc()
-                    if ov is not None:
-                        breaker.record_failure()
-                    if attempt < attempts:
-                        # the unpaced kind of retry: charge the budget
-                        if ov is not None and not ov.budget.try_spend():
-                            raise XememOverload(
-                                f"{msg.kind} {req_id}: retry budget exhausted",
-                                retry_after_ns=ov.cfg.retry_budget_window_ns,
-                                verdict="budget-exhausted",
-                            )
-                        o.counter("xemem.req.retries").inc()
-                        deadline_ns *= backoff
-                        jitter = ov.jitter_ns() if ov is not None else 0
-                        if jitter:
-                            yield self.engine.sleep(jitter)
-                    continue
+            resp = yield from self._await_reply(req_id, event, deadline_ns)
+            if resp is None:
+                if ov is not None:
+                    breaker.record_failure()
+                if attempt < attempts:
+                    # the unpaced kind of retry: charge the budget
+                    if ov is not None and not ov.budget.try_spend():
+                        raise XememOverload(
+                            f"{msg.kind} {req_id}: retry budget exhausted",
+                            retry_after_ns=ov.cfg.retry_budget_window_ns,
+                            verdict="budget-exhausted",
+                        )
+                    o.counter("xemem.req.retries").inc()
+                    deadline_ns *= backoff
+                    jitter = ov.jitter_ns() if ov is not None else 0
+                    if jitter:
+                        yield self.engine.sleep(jitter)
+                continue
             if ov is not None:
                 # any answer — result, error or rejection — proves liveness
                 breaker.record_success()
@@ -310,24 +334,17 @@ class XememModule:
         # Each attempt uses a fresh token, so a late ack for an abandoned
         # broadcast is dropped as stray rather than racing a newer one.
         deadline_ns, max_retries, backoff = self._request_policy()
-        for attempt in range(max_retries + 1):
+        for _ in range(max_retries + 1):
             token = self._next_req_id()
-            event = self.engine.event(name=f"ping:{token}")
-            self._ping_pending[token] = event
+            event = self._expect(token, f"ping:{token}")
             for channel in self.enclave.channels:
-                self._spawn_send_on(
-                    channel, C.make_command(C.PING_NS_PATH, None, None, token=token)
+                self._post(
+                    C.make_command(C.PING_NS_PATH, None, None, token=token),
+                    channel,
                 )
-            if deadline_ns is None:
-                ns_channel = yield event
+            ns_channel = yield from self._await_reply(token, event, deadline_ns)
+            if ns_channel is not None:
                 break
-            which, ns_channel = yield self.engine.any_of(
-                [event, self.engine.sleep(deadline_ns)]
-            )
-            if which == 0:
-                break
-            self._ping_pending.pop(token, None)
-            obs.get().counter("xemem.req.timeouts").inc()
             deadline_ns *= backoff
         else:
             raise XememTimeout(
@@ -346,17 +363,6 @@ class XememModule:
         self.routing.discovered = True
         return self.enclave.enclave_id
 
-    def _spawn_send_on(self, channel: Channel, msg: KernelMessage) -> None:
-        self.engine.spawn(
-            self._send_on_safely(channel, msg), name=f"send:{msg.kind}"
-        )
-
-    def _send_on_safely(self, channel: Channel, msg: KernelMessage):
-        try:
-            yield from channel.send(self.enclave, msg)
-        except ChannelClosedError:
-            obs.get().counter("xemem.msgs.undeliverable").inc()
-
     # ----------------------------------------------------------------- dispatch
 
     def _handle(self, msg: KernelMessage, channel: Channel):
@@ -365,15 +371,12 @@ class XememModule:
         # -- hop-by-hop discovery traffic (no enclave IDs exist yet) --------
         if kind == C.PING_NS_PATH:
             if self.routing.discovered:
-                yield from channel.send(
-                    self.enclave,
-                    C.make_command(
-                        C.PING_NS_PATH_ACK, None, None, token=msg.payload["token"]
-                    ),
-                )
+                yield from self._send(C.make_command(
+                    C.PING_NS_PATH_ACK, None, None, token=msg.payload["token"]
+                ), channel)
             return
         if kind == C.PING_NS_PATH_ACK:
-            event = self._ping_pending.pop(msg.payload["token"], None)
+            event = self._pending.pop(msg.payload["token"], None)
             if event is None:
                 # duplicate or late ack for an already-answered (or
                 # abandoned) broadcast: drop, don't raise
@@ -395,7 +398,7 @@ class XememModule:
                 # a retried allocation replays the assignment instead of
                 # burning a second enclave ID
                 if replay is not IN_SERVICE:
-                    yield from channel.send(self.enclave, replay)
+                    yield from self._send(replay, channel)
                 return
             new_id = self.nameserver.alloc_enclave_id()
             obs.get().counter("xemem.ns.enclave_ids").inc()
@@ -405,7 +408,7 @@ class XememModule:
                 req_id=req_id, enclave_id=new_id,
             )
             self.replay.record(req_id, assigned, self._request_dedup_active())
-            yield from channel.send(self.enclave, assigned)
+            yield from self._send(assigned, channel)
             return
         if kind == C.ENCLAVE_ID_ASSIGNED:
             req_id = msg.payload["req_id"]
@@ -420,7 +423,7 @@ class XememModule:
                 return
             # learn the route to the newly assigned enclave (§3.2)
             self.routing.learn(msg.payload["enclave_id"], origin)
-            yield from origin.send(self.enclave, msg)
+            yield from self._send(msg, origin)
             return
 
         # -- addressed traffic ------------------------------------------------
@@ -515,7 +518,7 @@ class XememModule:
         if replay is None:
             return False
         if replay is not IN_SERVICE:
-            self._spawn_send(replay)
+            self._post(replay)
         return True
 
     def _respond(self, request: KernelMessage, pfns=None, rejected=False,
@@ -524,7 +527,7 @@ class XememModule:
         resp = C.make_response(request, self.my_id, pfns=pfns, **fields)
         self.replay.record(request.payload.get("req_id"), resp,
                            self._request_dedup_active(), rejected)
-        self._spawn_send(resp)
+        self._post(resp)
 
     # -- name-server failure detection -------------------------------------
 
@@ -627,7 +630,7 @@ class XememModule:
                     ov.stale_hits += 1
                     ov.controller.count_served_direct()
                     obs.get().counter("overload.ns.stale_lookups").inc()
-                    self._spawn_send(C.make_response(
+                    self._post(C.make_response(
                         msg, self.my_id, segid=cached[0], stale=True,
                     ))
                     return
@@ -769,14 +772,8 @@ class XememModule:
                 segid = self.nameserver.alloc_segid(self.my_id, npages, name)
                 o.counter("xemem.ns.segids_allocated").inc()
             else:
-                req_id = self._next_req_id()
-                sp.set(req_id=req_id)
-                resp = yield from self._request(
-                    C.make_command(
-                        C.ALLOC_SEGID, self.my_id, None,
-                        req_id=req_id, npages=npages, name=name,
-                    )
-                )
+                resp = yield from self._call(C.ALLOC_SEGID, sp,
+                                             npages=npages, name=name)
                 segid = SegmentId(resp.payload["segid"])
         o.counter("xemem.make.count").inc()
         seg = ExportedSegment(segid, proc, vaddr, npages, permit, name)
@@ -792,12 +789,7 @@ class XememModule:
             )
             yield self.engine.sleep(self.costs.detach_fixed_ns)
         else:
-            yield from self._request(
-                C.make_command(
-                    C.REMOVE_SEGID, self.my_id, None,
-                    req_id=self._next_req_id(), segid=int(seg.segid),
-                )
-            )
+            yield from self._call(C.REMOVE_SEGID, segid=int(seg.segid))
 
     def lookup(self, name: str):
         """Generator: discoverability — find a segid by registered name."""
@@ -809,14 +801,7 @@ class XememModule:
                 segid = self.nameserver.lookup_name(name)
                 o.counter("xemem.ns.lookups").inc()
             else:
-                req_id = self._next_req_id()
-                sp.set(req_id=req_id)
-                resp = yield from self._request(
-                    C.make_command(
-                        C.LOOKUP_NAME, self.my_id, None,
-                        req_id=req_id, name=name,
-                    )
-                )
+                resp = yield from self._call(C.LOOKUP_NAME, sp, name=name)
                 segid = resp.payload["segid"]
         return None if segid is None else SegmentId(segid)
 
@@ -825,12 +810,7 @@ class XememModule:
         if self.is_name_server:
             yield self.engine.sleep(self.costs.detach_fixed_ns)
             return self.nameserver.list_names(prefix)
-        resp = yield from self._request(
-            C.make_command(
-                C.LIST_NAMES, self.my_id, None,
-                req_id=self._next_req_id(), prefix=prefix,
-            )
-        )
+        resp = yield from self._call(C.LIST_NAMES, prefix=prefix)
         return resp.payload["names"]
 
     def get(self, proc, segid: SegmentId, write: bool = True):
@@ -844,14 +824,8 @@ class XememModule:
                 npages = self.owner.grant(segid, write, proc=proc)
                 yield self.engine.sleep(self.costs.detach_fixed_ns)
             else:
-                req_id = self._next_req_id()
-                sp.set(req_id=req_id)
-                resp = yield from self._request(
-                    C.make_command(
-                        C.GET_REQ, self.my_id, None,
-                        req_id=req_id, segid=int(segid), write=write,
-                    )
-                )
+                resp = yield from self._call(C.GET_REQ, sp,
+                                             segid=int(segid), write=write)
                 npages = resp.payload["npages"]
         return self.attacher.add_grant(
             self.my_id, segid, proc, npages, write, owner_is_local=local
@@ -868,12 +842,7 @@ class XememModule:
             self.owner.release(grant.segid)
             yield self.engine.sleep(self.costs.detach_fixed_ns)
         else:
-            yield from self._request(
-                C.make_command(
-                    C.RELEASE_REQ, self.my_id, None,
-                    req_id=self._next_req_id(), segid=int(grant.segid),
-                )
-            )
+            yield from self._call(C.RELEASE_REQ, segid=int(grant.segid))
 
     def attach(self, proc, apid: ApId, offset: int = 0, nbytes: Optional[int] = None):
         """Generator: ``xpmem_attach`` — map (a window of) the segment.
@@ -948,14 +917,9 @@ class XememModule:
         # The req_id is allocated here (not in attach()) so the id
         # sequence is stable; the open attach span gets it as a journey
         # tag via the passed-in handle.
-        req_id = self._next_req_id()
-        span.set(req_id=req_id)
-        resp = yield from self._request(
-            C.make_command(
-                C.ATTACH_REQ, self.my_id, None,
-                req_id=req_id, segid=int(grant.segid),
-                offset_pages=offset_pages, npages=npages,
-            )
+        resp = yield from self._call(
+            C.ATTACH_REQ, span, segid=int(grant.segid),
+            offset_pages=offset_pages, npages=npages,
         )
         pfns = resp.pfns
         if pfns is None or len(pfns) != npages:
@@ -1039,7 +1003,7 @@ class XememModule:
             msg = C.make_command(
                 C.SEGID_NOTIFY, self.my_id, enclave_id, segid=int(segid)
             )
-            self.engine.spawn(self._send_safely(msg), name="notify")
+            self._post(msg, name="notify")
 
     def subscribe_signals(self, proc, segid: SegmentId):
         """Generator: register this enclave for ``segid``'s doorbell.
@@ -1051,12 +1015,7 @@ class XememModule:
         if self.owner.owns(segid):
             yield self.engine.sleep(self.costs.detach_fixed_ns)
             return True
-        yield from self._request(
-            C.make_command(
-                C.NOTIFY_SUBSCRIBE, self.my_id, None,
-                req_id=self._next_req_id(), segid=int(segid),
-            )
-        )
+        yield from self._call(C.NOTIFY_SUBSCRIBE, segid=int(segid))
         return True
 
     def signal(self, proc, segid: SegmentId):
@@ -1065,12 +1024,7 @@ class XememModule:
             self._fan_out_signal(int(segid), self.owner.signal_targets(segid))
             yield self.engine.sleep(self.costs.detach_fixed_ns)
             return
-        yield from self._request(
-            C.make_command(
-                C.SIGNAL_REQ, self.my_id, None,
-                req_id=self._next_req_id(), segid=int(segid),
-            )
-        )
+        yield from self._call(C.SIGNAL_REQ, segid=int(segid))
 
     def wait_signal(self, proc, segid: SegmentId):
         """Generator: block until the segid's doorbell rings.
@@ -1115,11 +1069,7 @@ class XememModule:
         if self.is_name_server:
             raise XememError("the name-server enclave cannot depart")
         # retire every owned segid in one departure message
-        yield from self._request(
-            C.make_command(
-                C.ENCLAVE_DEPART, self.my_id, None, req_id=self._next_req_id()
-            )
-        )
+        yield from self._call(C.ENCLAVE_DEPART)
         if force:
             # Outstanding waiters (signal waits, in-flight requests) would
             # otherwise hang forever against a departed enclave.
@@ -1135,12 +1085,11 @@ class XememModule:
             for event in waiters:
                 if not event.triggered:
                     event.fail(err)
-        for pending in (self._pending, self._ping_pending):
-            events = list(pending.values())
-            pending.clear()
-            for event in events:
-                if not event.triggered:
-                    event.fail(err)
+        events = list(self._pending.values())
+        self._pending.clear()
+        for event in events:
+            if not event.triggered:
+                event.fail(err)
         if self.overload is not None:
             self.overload.fail_all(err)
 

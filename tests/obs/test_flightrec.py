@@ -20,6 +20,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro import obs
 from repro.faults.chaos import run_chaos
 from repro.obs import flightrec
@@ -145,3 +147,36 @@ def test_span_tracer_dropped_gauge():
             ctx.tracer.instant(f"e{i}", i * 10)
     assert ctx.tracer.dropped == 3
     assert ctx.snapshot()["obs.spans.dropped"] == 3.0
+
+
+def test_tracer_recent_zero_is_empty():
+    with obs.observing(trace=True, metrics=False) as ctx:
+        for i in range(5):
+            ctx.tracer.instant(f"e{i}", i * 10)
+    assert ctx.tracer.recent(0) == []
+    assert [s.name for s in ctx.tracer.recent(2)] == ["e3", "e4"]
+
+
+def test_zero_trace_tail_dumps_no_completed_spans(tmp_path):
+    with pytest.raises(ValueError):
+        flightrec.FlightRecorder(trace_tail=-1)
+    with obs.observing(trace=True, metrics=True) as ctx:
+        for i in range(5):
+            ctx.tracer.instant(f"e{i}", i * 10)
+        recorder = flightrec.FlightRecorder(trace_tail=0)
+        recorder.dump(str(tmp_path / "b"), {})
+    trace = flightrec.load_bundle(str(tmp_path / "b"))["trace"]
+    assert trace.spans == []
+    assert trace.meta == {"dropped": 0, "recorded": 5, "tail": 0}
+
+
+def test_dump_after_scope_reads_the_armed_context(tmp_path):
+    """A bundle written after ``observing`` has exited still carries the
+    scope's spans and final metrics, not the ambient (dark) context's."""
+    with obs.observing(trace=True, metrics=True, flightrec=True) as ctx:
+        ctx.tracer.instant("late.op", 10)
+        ctx.counter("late.count").inc()
+    ctx.flightrec.dump(str(tmp_path / "b"), {})
+    bundle = flightrec.load_bundle(str(tmp_path / "b"))
+    assert [s.name for s in bundle["trace"].spans] == ["late.op"]
+    assert bundle["metrics"]["final"] == {"late.count": 1}

@@ -6,7 +6,13 @@ reorders an event moves the engine's ``call_at`` count (``_seq``), the
 spawn count or, through reordered same-time events, the report lines.
 The values were read before the per-message path was trimmed; they hold
 under both fidelity modes, since every soak message fits one chunk.
+The spawned processes' names are pinned too: they surface in incident
+bundles (``engine.json``'s live processes), so a refactor that keeps the
+count but renames a process still shows here.
 """
+
+import collections
+import re
 
 import pytest
 
@@ -22,6 +28,80 @@ CONFIG = SoakConfig(seed=0, cokernels=2, step_ns=100_000,
 SCHEDULE = {
     "protected": (6066, 1327, 1_685_145),
     "baseline": (6145, 1110, 1_777_809),
+}
+
+#: mode -> spawned process name -> count, flow numbers collapsed
+#: (``flow:7`` counts as ``flow:*``)
+NAMES = {
+    "protected": {
+        "discover:kitten0": 1,
+        "discover:kitten1": 1,
+        "flow:*": 116,
+        "scraper": 1,
+        "send:attach_resp": 24,
+        "send:get_resp": 295,
+        "send:list_names_resp": 7,
+        "send:ping_ns_path": 2,
+        "send:release_resp": 93,
+        "send:segid_assigned": 2,
+        "soak": 1,
+        "xemem-local:attach_resp": 23,
+        "xemem-local:get_resp": 209,
+        "xemem-local:release_resp": 3,
+        "xemem:kitten0:attach_req": 44,
+        "xemem:kitten0:enclave_id_assigned": 1,
+        "xemem:kitten0:get_req": 43,
+        "xemem:kitten0:list_names_resp": 7,
+        "xemem:kitten0:ping_ns_path_ack": 1,
+        "xemem:kitten0:release_req": 46,
+        "xemem:kitten0:segid_assigned": 1,
+        "xemem:kitten1:attach_req": 43,
+        "xemem:kitten1:enclave_id_assigned": 1,
+        "xemem:kitten1:get_req": 43,
+        "xemem:kitten1:ping_ns_path_ack": 1,
+        "xemem:kitten1:release_req": 44,
+        "xemem:kitten1:segid_assigned": 1,
+        "xemem:linux:alloc_enclave_id": 2,
+        "xemem:linux:alloc_segid": 2,
+        "xemem:linux:attach_resp": 86,
+        "xemem:linux:get_resp": 86,
+        "xemem:linux:list_names": 7,
+        "xemem:linux:ping_ns_path": 2,
+        "xemem:linux:release_resp": 88,
+    },
+    "baseline": {
+        "discover:kitten0": 1,
+        "discover:kitten1": 1,
+        "flow:*": 116,
+        "scraper": 1,
+        "send:attach_resp": 3,
+        "send:get_resp": 120,
+        "send:list_names_resp": 5,
+        "send:ping_ns_path": 2,
+        "send:release_resp": 121,
+        "send:segid_assigned": 2,
+        "soak": 1,
+        "xemem:kitten0:attach_req": 60,
+        "xemem:kitten0:enclave_id_assigned": 1,
+        "xemem:kitten0:get_req": 60,
+        "xemem:kitten0:list_names_resp": 5,
+        "xemem:kitten0:ping_ns_path_ack": 1,
+        "xemem:kitten0:release_req": 62,
+        "xemem:kitten0:segid_assigned": 1,
+        "xemem:kitten1:attach_req": 62,
+        "xemem:kitten1:enclave_id_assigned": 1,
+        "xemem:kitten1:get_req": 60,
+        "xemem:kitten1:ping_ns_path_ack": 1,
+        "xemem:kitten1:release_req": 59,
+        "xemem:kitten1:segid_assigned": 1,
+        "xemem:linux:alloc_enclave_id": 2,
+        "xemem:linux:alloc_segid": 2,
+        "xemem:linux:attach_resp": 116,
+        "xemem:linux:get_resp": 117,
+        "xemem:linux:list_names": 5,
+        "xemem:linux:ping_ns_path": 2,
+        "xemem:linux:release_resp": 119,
+    },
 }
 
 LINES = {
@@ -90,4 +170,6 @@ def test_soak_event_schedule_is_pinned(monkeypatch, mode, fidelity_mode):
     (rig,) = rigs
     engine = rig.engine
     assert (engine._seq, len(spawned), engine.now) == SCHEDULE[mode]
+    names = collections.Counter(re.sub(r":\d+$", ":*", n) for n in spawned)
+    assert dict(names) == NAMES[mode]
     assert report.lines() == LINES[mode]

@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.obs import flightrec
 from repro.sim import fidelity
 from repro.workloads.soak import (
     SoakConfig, bench_doc, main, run_soak, run_soak_pair,
@@ -131,5 +132,10 @@ def test_cli_exit_4_on_slo_breach_with_bundle(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "VIOLATED: soak.attach.p99" in text
     assert "incident bundle:" in text
-    bundle = tmp_path / "incident-slo"
-    assert (bundle / "trigger.json").exists() or any(bundle.iterdir())
+    bundle = flightrec.load_bundle(str(tmp_path / "incident-slo"))
+    assert all(v == "ok" for v in bundle["integrity"].values())
+    assert bundle["manifest"]["trigger"]["kind"] == "slo.violation"
+    # written after the observing scope exits, the bundle still reads the
+    # run's spans and final metrics
+    assert bundle["trace"].meta["recorded"] > 0
+    assert bundle["metrics"]["final"]

@@ -33,7 +33,7 @@ def test_stray_response_dropped():
 def test_duplicate_ping_ack_dropped():
     rig = build_system(num_cokernels=1)
     module = rig["cokernels"][0].module
-    assert module._ping_pending == {}  # discovery done, all tokens popped
+    assert module._pending == {}  # discovery done, all tokens popped
     with obs.observing(trace=False, metrics=True, engine=False):
         late_ack = C.make_command(
             C.PING_NS_PATH_ACK, None, None, token="stale-token"
