@@ -105,8 +105,7 @@ class FlightRecorder:
         self.engine = None
         self.injector = None
         #: The observability context this recorder is armed on (set by
-        #: :class:`~repro.obs.context.ObsContext`); None reads the ambient
-        #: one.
+        #: :class:`~repro.obs.context.ObsContext`).
         self.ctx = None
 
     # -- wiring ------------------------------------------------------------
@@ -147,17 +146,9 @@ class FlightRecorder:
             now_ns - now_ns % self.snapshot_interval_ns
             + self.snapshot_interval_ns
         )
-        ctx = self._context()
+        ctx = self.ctx
         if ctx.metrics.enabled:
             self._snapshots.append((int(now_ns), ctx.snapshot()))
-
-    def _context(self):
-        """The context this recorder is armed on, else the ambient one."""
-        if self.ctx is not None:
-            return self.ctx
-        from repro.obs import context as _obs_context
-
-        return _obs_context.get()
 
     # -- introspection -----------------------------------------------------
 
@@ -190,7 +181,7 @@ class FlightRecorder:
         if trigger is None:
             now = self.engine.now if self.engine is not None else 0
             trigger = self.trigger(kind, now, **detail)
-        ctx = self._context()
+        ctx = self.ctx
         notes = self.notes
         history = [
             {"time_ns": t, "metrics": _filtered_metrics(snap)}

@@ -181,10 +181,8 @@ class XememModule:
         return None, 0, 1
 
     def _expect(self, key: str, name: str):
-        """Register an Event for the reply correlated by ``key`` (a req_id
-        or a discovery ping token; both come from :meth:`_next_req_id`)."""
-        event = self.engine.event(name=name)
-        self._pending[key] = event
+        """Register the reply Event for ``key`` (a req_id or a ping token)."""
+        event = self._pending[key] = self.engine.event(name=name)
         return event
 
     def _unexpect(self, key: str, event) -> None:
@@ -192,14 +190,10 @@ class XememModule:
         if self._pending.get(key) is event:
             del self._pending[key]
 
-    def _await_reply(self, key: str, event, deadline_ns: Optional[int]):
-        """Generator: the reply :meth:`_expect` registered, or None once
-        ``deadline_ns`` expires (None waits with no timer)."""
-        if deadline_ns is None:
-            return (yield event)
-        which, reply = yield self.engine.any_of(
-            [event, self.engine.sleep(deadline_ns)]
-        )
+    def _await_reply(self, key: str, event, deadline_ns: int):
+        """Generator: ``key``'s reply, or None once ``deadline_ns`` expires.
+        With no deadline callers ``yield event`` inline (one frame fewer)."""
+        which, reply = yield self.engine.any_of([event, self.engine.sleep(deadline_ns)])
         if which == 0:
             return reply
         self._unexpect(key, event)
@@ -277,7 +271,10 @@ class XememModule:
                 raise XememError(
                     f"cannot deliver {msg.kind} from {self.enclave.name!r}: {err}"
                 )
-            resp = yield from self._await_reply(req_id, event, deadline_ns)
+            if deadline_ns is None:
+                resp = yield event
+            else:
+                resp = yield from self._await_reply(req_id, event, deadline_ns)
             if resp is None:
                 if ov is not None:
                     breaker.record_failure()
@@ -342,7 +339,10 @@ class XememModule:
                     C.make_command(C.PING_NS_PATH, None, None, token=token),
                     channel,
                 )
-            ns_channel = yield from self._await_reply(token, event, deadline_ns)
+            if deadline_ns is None:
+                ns_channel = yield event
+            else:
+                ns_channel = yield from self._await_reply(token, event, deadline_ns)
             if ns_channel is not None:
                 break
             deadline_ns *= backoff

@@ -160,11 +160,11 @@ def test_tracer_recent_zero_is_empty():
 def test_zero_trace_tail_dumps_no_completed_spans(tmp_path):
     with pytest.raises(ValueError):
         flightrec.FlightRecorder(trace_tail=-1)
-    with obs.observing(trace=True, metrics=True) as ctx:
+    with obs.observing(trace=True, metrics=True, flightrec=True) as ctx:
         for i in range(5):
             ctx.tracer.instant(f"e{i}", i * 10)
-        recorder = flightrec.FlightRecorder(trace_tail=0)
-        recorder.dump(str(tmp_path / "b"), {})
+        ctx.flightrec.trace_tail = 0
+        ctx.flightrec.dump(str(tmp_path / "b"), {})
     trace = flightrec.load_bundle(str(tmp_path / "b"))["trace"]
     assert trace.spans == []
     assert trace.meta == {"dropped": 0, "recorded": 5, "tail": 0}
