@@ -180,25 +180,13 @@ class XememModule:
             return None, self.overload.cfg.max_client_retries, 1
         return None, 0, 1
 
-    def _expect(self, key: str, name: str):
-        """Register the reply Event for ``key`` (a req_id or a ping token)."""
-        event = self._pending[key] = self.engine.event(name=name)
-        return event
-
-    def _unexpect(self, key: str, event) -> None:
-        """Unregister ``event`` if it is still ``key``'s waiter."""
+    def _expired(self, key: str, event) -> None:
+        """A reply wait's deadline passed: unregister ``event`` if it still
+        waits for ``key`` (a req_id or a discovery ping token; both come
+        from :meth:`_next_req_id`) and count the timeout."""
         if self._pending.get(key) is event:
             del self._pending[key]
-
-    def _await_reply(self, key: str, event, deadline_ns: int):
-        """Generator: ``key``'s reply, or None once ``deadline_ns`` expires.
-        With no deadline callers ``yield event`` inline (one frame fewer)."""
-        which, reply = yield self.engine.any_of([event, self.engine.sleep(deadline_ns)])
-        if which == 0:
-            return reply
-        self._unexpect(key, event)
         obs.get().counter("xemem.req.timeouts").inc()
-        return None
 
     @staticmethod
     def _check_response(resp: KernelMessage) -> KernelMessage:
@@ -263,18 +251,24 @@ class XememModule:
         deadline_ns, attempts, backoff = self._request_policy()
         last_overload: Optional[XememOverload] = None
         for attempt in range(attempts + 1):
-            event = self._expect(req_id, f"req:{req_id}#{attempt}")
+            event = self._pending[req_id] = self.engine.event(
+                name=f"req:{req_id}#{attempt}")
             try:
                 yield from self._send(msg)
             except (RoutingError, ChannelClosedError) as err:
-                self._unexpect(req_id, event)
+                if self._pending.get(req_id) is event:
+                    del self._pending[req_id]
                 raise XememError(
                     f"cannot deliver {msg.kind} from {self.enclave.name!r}: {err}"
                 )
             if deadline_ns is None:
                 resp = yield event
             else:
-                resp = yield from self._await_reply(req_id, event, deadline_ns)
+                which, resp = yield self.engine.any_of(
+                    [event, self.engine.sleep(deadline_ns)])
+                if which != 0:
+                    self._expired(req_id, event)
+                    resp = None
             if resp is None:
                 if ov is not None:
                     breaker.record_failure()
@@ -333,7 +327,7 @@ class XememModule:
         deadline_ns, max_retries, backoff = self._request_policy()
         for _ in range(max_retries + 1):
             token = self._next_req_id()
-            event = self._expect(token, f"ping:{token}")
+            event = self._pending[token] = self.engine.event(name=f"ping:{token}")
             for channel in self.enclave.channels:
                 self._post(
                     C.make_command(C.PING_NS_PATH, None, None, token=token),
@@ -341,10 +335,12 @@ class XememModule:
                 )
             if deadline_ns is None:
                 ns_channel = yield event
-            else:
-                ns_channel = yield from self._await_reply(token, event, deadline_ns)
-            if ns_channel is not None:
                 break
+            which, ns_channel = yield self.engine.any_of(
+                [event, self.engine.sleep(deadline_ns)])
+            if which == 0:
+                break
+            self._expired(token, event)
             deadline_ns *= backoff
         else:
             raise XememTimeout(
