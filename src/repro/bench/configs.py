@@ -40,9 +40,10 @@ class CokernelRig:
     cokernels: list
     vm: Optional[object]
     modules: dict
-    #: The invariant-audit hook, when ``REPRO_AUDIT=1`` (or an explicit
-    #: ``with_audit=True``) enabled it; None otherwise.
-    auditor: Optional[object] = None
+    #: The engine's invariant :class:`~repro.obs.audit.Auditor`, when
+    #: ``REPRO_AUDIT=1`` (or an explicit ``with_audit=True``) enabled
+    #: it; None otherwise.
+    auditor: Optional[audit.Auditor] = None
 
 
 def build_cokernel_system(

@@ -6,9 +6,9 @@ Three pieces, all default-off and recording nothing when disabled:
   exportable as Chrome/Perfetto ``trace.json`` or JSONL;
 * :mod:`repro.obs.metrics` — hierarchically named counters, gauges, and
   fixed-bucket histograms, snapshotable to a dict/JSON;
-* :mod:`repro.obs.engine_hooks` — an engine sink counting executed
-  events, sampling queue depth, and accounting process virtual
-  runtimes.
+* :mod:`repro.obs.engine_hooks` — the one engine observer: it counts
+  executed events, samples queue depth, accounts process virtual
+  runtimes, closes time-series windows, and calls the engine's auditor.
 
 On top of those sit the analysis layers:
 
@@ -52,7 +52,7 @@ from repro.obs.engine_hooks import EngineObserver
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.slo import SloReport, SloSpec, SloViolation
-from repro.obs.timeseries import TimeSeriesHook, TimeSeriesRecorder
+from repro.obs.timeseries import TimeSeriesRecorder
 from repro.obs.tracer import RingBuffer, Span, Tracer
 
 __all__ = [
@@ -70,7 +70,6 @@ __all__ = [
     "SloSpec",
     "SloViolation",
     "Span",
-    "TimeSeriesHook",
     "TimeSeriesRecorder",
     "Tracer",
     "analysis",

@@ -1,13 +1,16 @@
 """Runtime invariant auditor: a sanitizer for the simulated kernels.
 
 Default-off. When enabled (``REPRO_AUDIT=1`` on rig builders, or an
-explicit :class:`Auditor`/:class:`AuditHook`), it re-derives global
-invariants from live kernel/module state at configurable virtual-time
-intervals and at quiescence, raising a structured :class:`AuditViolation`
-(with the spans that were in flight attached) the moment simulated state
-drifts. Because the same checks run under both fidelity modes, the
-auditor doubles as a standing differential check on the fast/detailed
-twin contracts.
+explicit :func:`install`), an :class:`Auditor` sits in its engine's
+``engine.auditor`` slot and re-derives global invariants from live
+kernel/module state at configurable virtual-time intervals and at
+quiescence, raising a structured :class:`AuditViolation` (with the spans
+that were in flight attached) the moment simulated state drifts. The
+engine's :class:`~repro.obs.engine_hooks.EngineObserver` hands each
+event's engine to :meth:`Auditor.after_event`, which keeps the cadence.
+Because the same checks run under both fidelity modes, the auditor
+doubles as a standing differential check on the fast/detailed twin
+contracts.
 
 The invariant catalogue (see ``docs/OBSERVABILITY.md``):
 
@@ -42,6 +45,9 @@ import os
 from typing import Any, List, Optional
 
 import numpy as np
+
+from repro.obs import context as _obs_context
+from repro.obs.engine_hooks import EngineObserver
 
 #: Default virtual-time audit cadence: once per simulated millisecond.
 DEFAULT_INTERVAL_NS = 1_000_000
@@ -89,11 +95,15 @@ class AuditViolation(AssertionError):
 class Auditor:
     """Checks registered kernels/modules/channels against the catalogue."""
 
-    def __init__(self, tracer=None):
+    def __init__(self, tracer=None, interval_ns: int = DEFAULT_INTERVAL_NS):
+        if interval_ns <= 0:
+            raise ValueError(f"interval_ns must be positive, got {interval_ns}")
         self.kernels: List[Any] = []
         self.modules: List[Any] = []
         self.channels: List[Any] = []
         self.tracer = tracer
+        self.interval_ns = interval_ns
+        self._next_deadline = interval_ns
         self.audits_run = 0
         self.violations_found = 0
 
@@ -131,9 +141,10 @@ class Auditor:
         return self
 
     @classmethod
-    def for_rig(cls, rig, tracer=None) -> "Auditor":
+    def for_rig(cls, rig, tracer=None,
+                interval_ns: int = DEFAULT_INTERVAL_NS) -> "Auditor":
         """Watch every kernel, module, and channel of a cokernel rig."""
-        auditor = cls(tracer=tracer)
+        auditor = cls(tracer=tracer, interval_ns=interval_ns)
         for enclave in rig.system.enclaves:
             auditor.watch_kernel(enclave.kernel)
         for module in rig.modules.values():
@@ -187,6 +198,40 @@ class Auditor:
         violations = self.check(now_ns=now_ns, quiescent=quiescent)
         if violations:
             raise violations[0]
+
+    # -- cadence ----------------------------------------------------------------
+
+    def after_event(self, engine) -> None:
+        """Audit after one event, if a deadline passed or the queue drained.
+
+        Interval audits fire the first event at-or-after each virtual-time
+        deadline; a quiescent audit (with the stricter cross-module
+        checks) fires whenever the event queue drains.
+        """
+        now = engine.now
+        if now >= self._next_deadline:
+            # One audit per elapsed deadline, then re-arm past `now` so a
+            # long virtual jump does not trigger a backlog of audits.
+            self._next_deadline = now - now % self.interval_ns + self.interval_ns
+            self._audit(now)
+        if engine.queue_len == 0:
+            self._audit(now, quiescent=True)
+
+    def _audit(self, now_ns: int, quiescent: bool = False) -> None:
+        """One audit pass; a violation triggers the ambient flight
+        recorder (black-box evidence survives the raise) before it
+        propagates."""
+        try:
+            self.audit_now(now_ns=now_ns, quiescent=quiescent)
+        except AuditViolation as exc:
+            recorder = _obs_context.get().flightrec
+            if recorder is not None:
+                recorder.trigger(
+                    "audit.violation", now_ns,
+                    invariant=exc.invariant, detail=exc.detail,
+                    quiescent=quiescent,
+                )
+            raise
 
     # frame-ownership exclusivity ---------------------------------------------
 
@@ -428,101 +473,22 @@ class Auditor:
                      "completed")
 
 
-class AuditHook:
-    """Engine-observer adapter running an :class:`Auditor` on a cadence.
-
-    Installs as ``engine.obs`` (the existing instrumentation hook point),
-    optionally wrapping an inner :class:`~repro.obs.engine_hooks.
-    EngineObserver` so auditing and metrics/profiling compose. Interval
-    audits fire the first event at-or-after each virtual-time deadline;
-    a quiescent audit (with the stricter cross-module checks) fires
-    whenever the event queue drains.
-    """
-
-    def __init__(self, auditor: Auditor,
-                 interval_ns: int = DEFAULT_INTERVAL_NS,
-                 inner=None):
-        if interval_ns <= 0:
-            raise ValueError(f"interval_ns must be positive, got {interval_ns}")
-        self.auditor = auditor
-        self.interval_ns = interval_ns
-        self.inner = inner
-        self._next_deadline = interval_ns
-
-    def run_event(self, engine, callback, args=()) -> None:
-        if self.inner is not None:
-            self.inner.run_event(engine, callback, args)
-        else:
-            callback(*args)
-        if engine.now >= self._next_deadline:
-            # One audit per elapsed deadline, then re-arm past `now` so a
-            # long virtual jump does not trigger a backlog of audits.
-            self._next_deadline = (
-                engine.now - engine.now % self.interval_ns + self.interval_ns
-            )
-            self._audit(engine)
-        if engine.queue_len == 0:
-            self._audit(engine, quiescent=True)
-
-    def _audit(self, engine, quiescent: bool = False) -> None:
-        """One audit pass; a violation triggers the ambient flight
-        recorder (black-box evidence survives the raise) before it
-        propagates."""
-        from repro.obs import context as _obs_context
-
-        try:
-            self.auditor.audit_now(now_ns=engine.now, quiescent=quiescent)
-        except AuditViolation as exc:
-            recorder = _obs_context.get().flightrec
-            if recorder is not None:
-                recorder.trigger(
-                    "audit.violation", engine.now,
-                    invariant=exc.invariant, detail=exc.detail,
-                    quiescent=quiescent,
-                )
-            raise
-
-    def on_spawn(self, engine, proc) -> None:
-        if self.inner is not None:
-            self.inner.on_spawn(engine, proc)
-
-    def on_finish(self, engine, proc) -> None:
-        if self.inner is not None:
-            self.inner.on_finish(engine, proc)
-
-
-def find_hook(engine) -> Optional[AuditHook]:
-    """The :class:`AuditHook` on an engine's observer chain, if any.
-
-    Teardown paths (enclave crash / departure) use this to deregister
-    state the auditor must no longer re-derive invariants from.
-    """
-    hook = engine.obs
-    while hook is not None:
-        if isinstance(hook, AuditHook):
-            return hook
-        hook = getattr(hook, "inner", None)
-    return None
-
-
 def install(rig, interval_ns: Optional[int] = None,
-            tracer=None) -> AuditHook:
-    """Attach an auditing hook to a rig's engine; returns the hook.
+            tracer=None) -> Auditor:
+    """Arm an :class:`Auditor` on a rig's engine; returns the auditor.
 
-    Wraps whatever observer the engine already has (so audits compose
-    with ``obs.observing``'s engine instrumentation) and watches every
-    kernel, module, and channel in the rig.
+    The auditor watches every kernel, module, and channel in the rig and
+    sits in the engine's ``auditor`` slot, so rigs sharing one ambient
+    observer each audit only themselves. An engine with no observer gets
+    a plain :class:`~repro.obs.engine_hooks.EngineObserver` to call it.
     """
     if tracer is None:
-        from repro import obs
-
-        ambient = obs.get().tracer
-        tracer = ambient if getattr(ambient, "enabled", False) else None
-    auditor = Auditor.for_rig(rig, tracer=tracer)
-    hook = AuditHook(
-        auditor,
-        interval_ns=interval_ns or env_interval_ns(),
-        inner=rig.engine.obs,
+        ambient = _obs_context.get().tracer
+        tracer = ambient if ambient.enabled else None
+    engine = rig.engine
+    engine.auditor = Auditor.for_rig(
+        rig, tracer=tracer, interval_ns=interval_ns or env_interval_ns(),
     )
-    rig.engine.obs = hook
-    return hook
+    if engine.obs is None:
+        engine.obs = EngineObserver()
+    return engine.auditor

@@ -5,7 +5,10 @@ channels, kernels, the NIC) fetch the active context with
 :func:`repro.obs.get` and write spans/metrics through it. By default the
 context is **disabled**: spans return a shared null context manager,
 metrics return a shared null sink, and engines get no observer, so
-simulation behaviour and benchmark numbers are unchanged.
+simulation behaviour and benchmark numbers are unchanged. A context
+built with ``engine=True`` or ``timeseries=True`` holds one
+:class:`~repro.obs.engine_hooks.EngineObserver` that every engine built
+under it calls.
 
 A dark site is not free: it still pays the :func:`get` call, the
 ``span``/``counter``/``histogram`` call, the null object's methods and
@@ -37,7 +40,6 @@ from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
 from repro.obs.timeseries import (
     DEFAULT_MAX_WINDOWS,
     DEFAULT_WINDOW_NS,
-    TimeSeriesHook,
     TimeSeriesRecorder,
 )
 from repro.obs.tracer import NULL_SPAN, Tracer
@@ -46,12 +48,11 @@ from repro.obs.tracer import NULL_SPAN, Tracer
 class ObsContext:
     """One tracer + one metrics registry + one optional engine observer.
 
-    When windowed aggregation is on (``observing(timeseries=True)``),
-    :attr:`timeseries` holds the live
-    :class:`~repro.obs.timeseries.TimeSeriesRecorder` and
-    :attr:`engine_obs` is the :class:`~repro.obs.timeseries.
-    TimeSeriesHook` that advances it (wrapping the plain
-    :class:`EngineObserver` when engine stats are also requested).
+    :attr:`engine_obs` is the one :class:`EngineObserver` every engine
+    built under this context calls. When windowed aggregation is on
+    (``observing(timeseries=True)``), :attr:`timeseries` holds the live
+    :class:`~repro.obs.timeseries.TimeSeriesRecorder` that the observer
+    advances.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None,
@@ -151,9 +152,11 @@ def observing(trace: bool = True, metrics: bool = True,
 
     ``timeseries=True`` additionally aggregates the metrics registry
     into tumbling ``window_ns`` windows on the virtual clock (see
-    :mod:`repro.obs.timeseries`); it requires ``metrics=True`` and
-    installs a window-advancing engine hook, so engines built inside
-    the scope pick it up automatically. Call
+    :mod:`repro.obs.timeseries`); it requires ``metrics=True``. Either
+    ``engine=True`` or ``timeseries=True`` builds the scope's one
+    :class:`EngineObserver` (counting engine stats, closing windows),
+    which engines built inside the scope pick up automatically, and
+    whose stats :meth:`ObsContext.snapshot` folds in. Call
     ``ctx.timeseries.finish(end_ns)`` after the run to flush the final
     partial window.
 
@@ -171,14 +174,11 @@ def observing(trace: bool = True, metrics: bool = True,
                            max_windows=max_windows)
         if timeseries else None
     )
-    inner = EngineObserver() if engine else None
-    engine_obs = (
-        TimeSeriesHook(recorder, inner=inner) if recorder is not None else inner
-    )
     ctx = ObsContext(
         tracer=Tracer(enabled=trace, max_events=max_trace_events),
         metrics=registry,
-        engine_obs=engine_obs,
+        engine_obs=(EngineObserver(timeseries=recorder)
+                    if engine or timeseries else None),
         timeseries=recorder,
         flightrec=FlightRecorder() if flightrec else None,
     )

@@ -8,13 +8,13 @@ it (counter deltas, histogram delta-bucket quantiles, current gauge
 levels). This is what lets the SLO engine (:mod:`repro.obs.slo`) answer
 "what was p99 attach latency *over time*" instead of only end-of-run.
 
-Windows close from inside the event loop via :class:`TimeSeriesHook`, an
-engine-observer adapter in the same mold as
-:class:`repro.obs.audit.AuditHook`: before each popped event runs, every
-window ending at or before ``engine.now`` is closed, so an event at
-virtual time ``t`` always lands in the window containing ``t``. The
-driver calls :meth:`TimeSeriesRecorder.finish` once at the end to flush
-the final partial window.
+Windows close from inside the event loop: the engine's
+:class:`~repro.obs.engine_hooks.EngineObserver` holds the recorder and,
+before each popped event runs, closes every window ending at or before
+``engine.now``, so an event at virtual time ``t`` always lands in the
+window containing ``t``. The driver calls
+:meth:`TimeSeriesRecorder.finish` once at the end to flush the final
+partial window.
 
 Everything observed is deterministic simulation state and every
 container iterates in sorted-name order, so two identical runs produce
@@ -22,7 +22,7 @@ byte-identical window streams (:meth:`TimeSeriesRecorder.to_json`).
 Like the tracer's ring buffer, the window store is ring-capped
 (``max_windows``) with a visible :attr:`~TimeSeriesRecorder.dropped`
 count — and the whole facility is default-off, costing nothing unless a
-recorder is constructed and hooked.
+recorder is constructed and handed to the engine observer.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class TimeSeriesRecorder:
         self._buf = RingBuffer(max_windows)
         self._start_ns = 0
         #: End of the currently filling window — the hot-path guard
-        #: (:class:`TimeSeriesHook` compares it per event to skip the
+        #: (the engine observer compares it per event to skip the
         #: advance call entirely until a window boundary passes).
         self.next_close_ns = window_ns
         self._index = 0
@@ -234,47 +234,3 @@ class TimeSeriesRecorder:
         write_text(fp, text)
         return text
 
-
-class TimeSeriesHook:
-    """Engine-observer adapter closing time-series windows on the clock.
-
-    Installs as ``engine.obs`` (the same hook point as
-    :class:`repro.obs.audit.AuditHook`), optionally wrapping an inner
-    :class:`~repro.obs.engine_hooks.EngineObserver` so time-series,
-    engine stats, and profiling compose. Windows are closed *before*
-    each popped event executes, so the metric writes of an event at
-    virtual time ``t`` are attributed to the window containing ``t``.
-    """
-
-    def __init__(self, recorder: TimeSeriesRecorder, inner=None):
-        self.recorder = recorder
-        self.inner = inner
-
-    def run_event(self, engine, callback, args=()) -> None:
-        # Inline boundary check: one attribute compare per event; the
-        # window-closing machinery only runs when a boundary passed.
-        recorder = self.recorder
-        if recorder.next_close_ns <= engine.now:
-            recorder.advance(engine.now)
-        if self.inner is not None:
-            self.inner.run_event(engine, callback, args)
-        else:
-            callback(*args)
-
-    def on_spawn(self, engine, proc) -> None:
-        if self.inner is not None:
-            self.inner.on_spawn(engine, proc)
-
-    def on_finish(self, engine, proc) -> None:
-        if self.inner is not None:
-            self.inner.on_finish(engine, proc)
-
-    # -- EngineObserver surface pass-through (used by ctx.snapshot) ----------
-
-    @property
-    def events_executed(self) -> int:
-        return self.inner.events_executed if self.inner is not None else 0
-
-    def publish(self, metrics) -> None:
-        if self.inner is not None:
-            self.inner.publish(metrics)

@@ -240,12 +240,9 @@ class PiscesManager:
 
     def _unwatch(self, enclave: Enclave) -> None:
         """Deregister a dead enclave from any armed invariant auditor."""
-        from repro.obs.audit import find_hook
-
-        hook = find_hook(self.engine)
-        if hook is None:
+        auditor = self.engine.auditor
+        if auditor is None:
             return
-        auditor = hook.auditor
         auditor.unwatch_kernel(enclave.kernel)
         if enclave.module is not None:
             auditor.unwatch_module(enclave.module)

@@ -213,6 +213,9 @@ class Engine:
         #: Optional fault injector (see repro.faults). None = no plan armed;
         #: every hook site is a single attribute load + None check.
         self.faults = None
+        #: Optional invariant auditor (see repro.obs.audit), per engine;
+        #: the observer calls it after each event. None = auditing off.
+        self.auditor = None
         #: The Process whose generator is currently being resumed (None
         #: between resumptions). Maintained by Process._step; the tracer
         #: keys its parent-attribution stacks on it so spans opened by

@@ -44,7 +44,7 @@ def test_crash_mid_attach_fails_waiters_and_reclaims():
     # the name server retired the dead enclave's id
     ns = rig.system.name_server_enclave.module.nameserver
     assert victim.enclave_id in ns.retired_enclaves
-    rig.auditor.auditor.audit_now(eng.now, quiescent=True)
+    rig.auditor.audit_now(eng.now, quiescent=True)
 
 
 def test_survivor_attachments_invalidated_on_crash():
@@ -78,7 +78,7 @@ def test_survivor_attachments_invalidated_on_crash():
     ns = rig.system.name_server_enclave.module.nameserver
     with pytest.raises(XememError, match="retired"):
         ns.owner_of(int(segid))
-    rig.auditor.auditor.audit_now(eng.now, quiescent=True)
+    rig.auditor.audit_now(eng.now, quiescent=True)
 
 
 def test_survivors_keep_working_after_crash():
@@ -90,7 +90,7 @@ def test_survivors_keep_working_after_crash():
     # a fresh full cycle against the surviving co-kernel succeeds
     module, segid = eng.run_process(table1_cycle(rig, exporter_idx=1))
     assert module.owner.segments[int(segid)].grants_out == 0
-    rig.auditor.auditor.audit_now(eng.now, quiescent=True)
+    rig.auditor.audit_now(eng.now, quiescent=True)
 
 
 def test_crash_is_fail_stop_and_unpartitioned():

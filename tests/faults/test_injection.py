@@ -45,7 +45,7 @@ def test_total_duplication_is_deduplicated():
     # raised — the run ends with no live processes and an intact auditor
     assert rig.engine.live_processes == ()
     if rig.auditor is not None:
-        rig.auditor.auditor.audit_now(rig.engine.now)
+        rig.auditor.audit_now(rig.engine.now)
 
 
 def test_delay_slows_but_completes():
@@ -79,7 +79,7 @@ def test_mixed_plan_with_audit():
     rig.engine.run_process(table1_cycle(rig))
     rig.engine.run()
     assert rig.engine.queue_len == 0
-    rig.auditor.auditor.audit_now(rig.engine.now)
+    rig.auditor.audit_now(rig.engine.now)
 
 
 def test_arm_twice_rejected_and_disarm():

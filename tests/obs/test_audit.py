@@ -1,12 +1,12 @@
-"""Tests for the runtime invariant auditor and its engine hook."""
+"""Tests for the runtime invariant auditor and its audit cadence."""
 
 import pytest
 
 from repro import obs
 from repro.bench.configs import build_cokernel_system
 from repro.hw.costs import MB
+from repro.obs import EngineObserver
 from repro.obs.audit import (
-    AuditHook,
     Auditor,
     AuditViolation,
     env_enabled,
@@ -45,11 +45,11 @@ def test_clean_rig_audits_clean():
     rig = build_cokernel_system(with_audit=True)
     assert rig.auditor is not None
     _attach_scenario(rig)
-    hook = rig.auditor
-    assert hook.auditor.audits_run > 0
-    assert hook.auditor.violations_found == 0
+    auditor = rig.auditor
+    assert auditor.audits_run > 0
+    assert auditor.violations_found == 0
     # an explicit full audit (including quiescent checks) is also clean
-    hook.auditor.audit_now(now_ns=rig.engine.now, quiescent=True)
+    auditor.audit_now(now_ns=rig.engine.now, quiescent=True)
 
 
 def test_audit_does_not_perturb_the_simulation():
@@ -67,7 +67,7 @@ def test_injected_refcount_imbalance_detected_with_span_context():
     with obs.observing(trace=True):
         rig = build_cokernel_system(with_audit=True)
         _attach_scenario(rig, detach=False)
-        auditor = rig.auditor.auditor
+        auditor = rig.auditor
         assert auditor.tracer is not None
         # corrupt: the owner forgets it handed out the grant
         module = rig.cokernels[0].module
@@ -89,12 +89,12 @@ def test_dangling_attachments_and_released_grant_detected():
     _attach_scenario(rig, detach=False)
     attacher = rig.linux.module.attacher
     attacher.attachments[99999] = [object()] * 3  # live attachments, no grant
-    violations = rig.auditor.auditor.check()
+    violations = rig.auditor.check()
     assert any("3 live attachments but no grant" in v.detail for v in violations)
     del attacher.attachments[99999]
     (grant,) = attacher.grants.values()
     grant.released = True  # released, yet still registered
-    violations = rig.auditor.auditor.check()
+    violations = rig.auditor.check()
     assert any("released but still registered" in v.detail for v in violations)
 
 
@@ -106,7 +106,7 @@ def test_mapped_pfn_on_free_list_detected():
     p = int(pfns[0])
     kitten.allocator._free.append([p, p + 1])
     kitten.allocator._free.sort()
-    violations = rig.auditor.auditor.check()
+    violations = rig.auditor.check()
     assert any(v.invariant == "frame-exclusivity" for v in violations)
 
 
@@ -114,7 +114,7 @@ def test_free_run_outside_window_detected():
     rig = build_cokernel_system(with_audit=True)
     alloc = rig.cokernels[0].kernel.allocator
     alloc._free.insert(0, [alloc.start_pfn - 8, alloc.start_pfn - 4])
-    violations = rig.auditor.auditor.check()
+    violations = rig.auditor.check()
     assert any("outside" in v.detail for v in violations)
 
 
@@ -123,7 +123,7 @@ def test_region_populated_drift_detected():
     kp, _ = _attach_scenario(rig)
     region = kp.aspace.regions[0]
     region.populated -= 1
-    violations = rig.auditor.auditor.check()
+    violations = rig.auditor.check()
     assert any(v.invariant == "pte-region" for v in violations)
 
 
@@ -139,7 +139,7 @@ def test_stale_walk_cache_pfns_detected():
     key = (entries[0][0], entries[0][1])
     gen, pfns = table._walk_cache[key]
     table._walk_cache[key] = (gen, pfns + 1)  # corrupt the cached pfns
-    violations = rig.auditor.auditor.check()
+    violations = rig.auditor.check()
     assert any(v.invariant == "walkcache-coherence" for v in violations)
 
 
@@ -153,14 +153,14 @@ def test_future_generation_cache_entry_detected():
     key = next(iter(table._walk_cache))
     gen, pfns = table._walk_cache[key]
     table._walk_cache[key] = (table.generation + 5, pfns)
-    violations = rig.auditor.auditor.check()
+    violations = rig.auditor.check()
     assert any("future generation" in v.detail for v in violations)
 
 
 def test_unbalanced_channel_detected_at_quiescence():
     rig = build_cokernel_system(with_audit=True)
     _attach_scenario(rig)
-    auditor = rig.auditor.auditor
+    auditor = rig.auditor
     assert auditor.channels, "rig channels must be watched"
     channel = auditor.channels[0]
     assert channel.transfers_started > 0
@@ -172,20 +172,25 @@ def test_unbalanced_channel_detected_at_quiescence():
     assert any(v.invariant == "channel-balance" for v in violations)
 
 
-# -- the engine hook -----------------------------------------------------------
+# -- the audit cadence ---------------------------------------------------------
 
-class _CountingAuditor:
-    def __init__(self):
+class _CountingAuditor(Auditor):
+    def __init__(self, interval_ns):
+        super().__init__(interval_ns=interval_ns)
         self.calls = []
 
     def audit_now(self, now_ns=0, quiescent=False):
         self.calls.append((now_ns, quiescent))
 
 
+def _counting_engine(interval_ns):
+    eng = Engine(obs=EngineObserver())
+    eng.auditor = _CountingAuditor(interval_ns)
+    return eng, eng.auditor
+
+
 def test_hook_audits_on_interval_and_at_quiescence():
-    eng = Engine()
-    fake = _CountingAuditor()
-    eng.obs = AuditHook(fake, interval_ns=100)
+    eng, fake = _counting_engine(interval_ns=100)
 
     def proc():
         for _ in range(5):
@@ -200,9 +205,7 @@ def test_hook_audits_on_interval_and_at_quiescence():
 
 
 def test_hook_rearms_past_long_virtual_jumps():
-    eng = Engine()
-    fake = _CountingAuditor()
-    eng.obs = AuditHook(fake, interval_ns=100)
+    eng, fake = _counting_engine(interval_ns=100)
 
     def proc():
         yield eng.sleep(1000)
@@ -216,17 +219,43 @@ def test_hook_rearms_past_long_virtual_jumps():
 
 def test_hook_rejects_nonpositive_interval():
     with pytest.raises(ValueError):
-        AuditHook(Auditor(), interval_ns=0)
+        Auditor(interval_ns=0)
 
 
 def test_hook_composes_with_inner_observer():
     with obs.observing(metrics=True, engine=True) as ctx:
         rig = build_cokernel_system(with_audit=True)
-        assert rig.auditor.inner is not None  # wrapped the obs engine hook
+        # the rig's engine calls the scope's one observer, which calls
+        # the rig's auditor
+        assert rig.engine.obs is ctx.engine_obs
+        assert rig.engine.auditor is rig.auditor
         _attach_scenario(rig)
         snap = ctx.snapshot()
     assert snap["engine.events.executed"] > 0
-    assert rig.auditor.auditor.audits_run > 0
+    assert rig.auditor.audits_run > 0
+
+
+def test_two_audited_rigs_share_one_observer_and_audit_only_themselves():
+    with obs.observing(metrics=True, engine=True, timeseries=True,
+                       window_ns=10_000) as ctx:
+        rig_a = build_cokernel_system(with_audit=True)
+        rig_b = build_cokernel_system(with_audit=True)
+        assert rig_a.engine.obs is rig_b.engine.obs is ctx.engine_obs
+        assert rig_a.auditor is not rig_b.auditor
+        _attach_scenario(rig_a)
+        # rig B's engine has not run, so its auditor has not either
+        assert rig_a.auditor.audits_run > 0
+        assert rig_b.auditor.audits_run == 0
+        _attach_scenario(rig_b)
+        snap = ctx.snapshot()
+    assert len(ctx.timeseries) > 0
+    assert snap["engine.events.executed"] == ctx.engine_obs.events_executed > 0
+    assert rig_b.auditor.audits_run > 0
+    for rig, other in ((rig_a, rig_b), (rig_b, rig_a)):
+        kernels = rig.auditor.kernels
+        assert kernels == [e.kernel for e in rig.system.enclaves]
+        assert not any(e.kernel in kernels for e in other.system.enclaves)
+        assert rig.auditor.violations_found == 0
 
 
 # -- environment gating --------------------------------------------------------

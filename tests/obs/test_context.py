@@ -64,6 +64,21 @@ def test_context_usable_after_exit_for_export():
     assert [s.name for s in ctx.tracer.spans] == ["work"]
 
 
+def test_repeated_snapshots_do_not_recount_engine_stats():
+    with obs.observing(trace=False, metrics=True, engine=True) as ctx:
+        eng = Engine()
+
+        def proc():
+            for _ in range(5):
+                yield eng.sleep(10)
+
+        eng.run_process(proc())
+    first = ctx.snapshot()
+    second = ctx.snapshot()
+    assert first["engine.events.executed"] == 6
+    assert second == first
+
+
 def test_max_trace_events_threads_through():
     with obs.observing(trace=True, max_trace_events=2) as ctx:
         for i in range(5):

@@ -40,8 +40,6 @@ def test_spawn_finish_and_runtime_accounting():
     assert ob.processes_finished == 3
     assert ob.process_runtime_ns.count == 3
     assert ob.process_runtime_ns.max == 30
-    names = [rec[0] for rec in ob.process_records]
-    assert names == ["p10", "p20", "p30"]
 
 
 def test_process_table_pruned_on_finish():
@@ -94,17 +92,3 @@ def test_publish_folds_stats_into_registry():
     assert snap["engine.process.runtime_ns.max"] == 10
     assert "engine.queue_depth.mean" in snap
 
-
-def test_process_records_ring_capped():
-    ob = EngineObserver(max_process_records=2)
-    eng = Engine(obs=ob)
-
-    def proc():
-        yield eng.sleep(1)
-
-    for _ in range(5):
-        eng.spawn(proc())
-    eng.run()
-    assert ob.processes_finished == 5
-    assert len(ob.process_records) == 2
-    assert ob.process_records.dropped == 3

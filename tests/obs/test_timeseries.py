@@ -4,12 +4,9 @@ import json
 
 import pytest
 
+from repro.obs.engine_hooks import EngineObserver
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import (
-    TimeSeriesHook,
-    TimeSeriesRecorder,
-    bucket_quantile,
-)
+from repro.obs.timeseries import TimeSeriesRecorder, bucket_quantile
 
 
 # -- bucket_quantile (delta-bucket quantiles, no exact min/max) ----------------
@@ -162,16 +159,17 @@ def test_to_doc_and_to_json_exclude_prefixes_and_sort():
 # -- engine hook ---------------------------------------------------------------
 
 class _FakeEngine:
-    """Stand-in with just the hook's surface; its clock is test input."""
+    """Stand-in with just the observer's surface; its clock is test input."""
 
     def __init__(self):
         self.now = 0  # repro: noqa[REP006] reason=fake engine, not the simulator clock
+        self.auditor = None
 
 
 def test_hook_closes_windows_before_the_event_runs():
     reg, c, g, h = _registry()
     rec = TimeSeriesRecorder(reg, window_ns=100)
-    hook = TimeSeriesHook(rec)
+    hook = EngineObserver(timeseries=rec)
     eng = _FakeEngine()
 
     c.inc()                       # written at t=0
@@ -190,7 +188,7 @@ def test_hook_closes_windows_before_the_event_runs():
 def test_hook_fast_guard_skips_advance_inside_a_window():
     reg, c, g, h = _registry()
     rec = TimeSeriesRecorder(reg, window_ns=100)
-    hook = TimeSeriesHook(rec)
+    hook = EngineObserver(timeseries=rec)
     eng = _FakeEngine()
     ran = []
     eng.now = 50  # repro: noqa[REP006] reason=fake engine, not the simulator clock
@@ -199,23 +197,3 @@ def test_hook_fast_guard_skips_advance_inside_a_window():
     assert len(rec) == 0                 # no boundary passed, no close
     assert rec.next_close_ns == 100      # guard untouched mid-window
 
-
-def test_hook_passes_events_through_an_inner_observer():
-    class Inner:
-        def __init__(self):
-            self.calls = []
-            self.events_executed = 41
-
-        def run_event(self, engine, callback, args=()):
-            self.calls.append(callback)
-            callback(*args)
-
-    reg, c, g, h = _registry()
-    rec = TimeSeriesRecorder(reg, window_ns=100)
-    inner = Inner()
-    hook = TimeSeriesHook(rec, inner=inner)
-    eng = _FakeEngine()
-    hook.run_event(eng, c.inc)
-    assert c.value == 1 and inner.calls
-    # the EngineObserver surface proxies through to the inner observer
-    assert hook.events_executed == 41
