@@ -49,21 +49,16 @@ class ObsContext:
     """One tracer + one metrics registry + one optional engine observer.
 
     :attr:`engine_obs` is the one :class:`EngineObserver` every engine
-    built under this context calls. When windowed aggregation is on
-    (``observing(timeseries=True)``), :attr:`timeseries` holds the live
-    :class:`~repro.obs.timeseries.TimeSeriesRecorder` that the observer
-    advances.
+    built under this context calls.
     """
 
     def __init__(self, tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  engine_obs: Optional[EngineObserver] = None,
-                 timeseries: Optional[TimeSeriesRecorder] = None,
                  flightrec: Optional[FlightRecorder] = None):
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.metrics = metrics if metrics is not None else MetricsRegistry(enabled=False)
         self.engine_obs = engine_obs
-        self.timeseries = timeseries
         #: Optional always-on black box (see :mod:`repro.obs.flightrec`).
         #: Deliberately *not* part of :attr:`enabled`: an armed recorder
         #: installs no engine hook and records nothing until a hook site
@@ -71,6 +66,12 @@ class ObsContext:
         self.flightrec = flightrec
         if flightrec is not None:
             flightrec.ctx = self
+
+    @property
+    def timeseries(self) -> Optional[TimeSeriesRecorder]:
+        """The live recorder the engine observer advances, when windowed
+        aggregation is on (``observing(timeseries=True)``)."""
+        return self.engine_obs.timeseries if self.engine_obs is not None else None
 
     @property
     def enabled(self) -> bool:
@@ -179,7 +180,6 @@ def observing(trace: bool = True, metrics: bool = True,
         metrics=registry,
         engine_obs=(EngineObserver(timeseries=recorder)
                     if engine or timeseries else None),
-        timeseries=recorder,
         flightrec=FlightRecorder() if flightrec else None,
     )
     previous = install(ctx)
