@@ -113,6 +113,9 @@ class ClassInfo:
     instance_assigned: list = field(default_factory=list)
     #: in-place mutations through self: [[attr, line, col, display], ...]
     self_mutations: list = field(default_factory=list)
+    #: ``self.attr = NAME`` bindings of a module-level name:
+    #: attr -> dotted ``module.NAME``
+    state_aliases: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -511,8 +514,12 @@ class _Indexer:
                     self._self_mutation(
                         target.attr, stmt, f"self.{target.attr} (augmented)"
                     )
-                elif target.attr not in cls.instance_assigned:
-                    cls.instance_assigned.append(target.attr)
+                else:
+                    if target.attr not in cls.instance_assigned:
+                        cls.instance_assigned.append(target.attr)
+                    alias = self._module_name_of(stmt.value)
+                    if alias is not None:
+                        cls.state_aliases[target.attr] = alias
                 return
             cls = self._class_receiver(target.value)
             if cls is not None:
@@ -530,6 +537,15 @@ class _Indexer:
                 and isinstance(node.value, ast.Name) \
                 and node.value.id == "self" and self.class_stack:
             return node.attr
+        return None
+
+    def _module_name_of(self, node: ast.AST) -> Optional[str]:
+        """Dotted ``module.NAME`` when ``node`` names a module-level
+        binding, here or imported; else None."""
+        if isinstance(node, ast.Name) and self._is_local(node.id):
+            return None
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return self.resolve(node)
         return None
 
     def _self_mutation(self, attr: str, stmt: ast.AST,

@@ -61,8 +61,8 @@ class ProjectIndex:
 
     # -- name resolution ----------------------------------------------------
 
-    def method(self, cls_qual: str, meth: str) -> Optional[str]:
-        """Resolve ``meth`` against ``cls_qual``'s project MRO (BFS)."""
+    def _mro(self, cls_qual: str):
+        """``cls_qual`` and its project bases, breadth first, once each."""
         queue: deque = deque([cls_qual])
         seen: set = set()
         while queue:
@@ -70,12 +70,17 @@ class ProjectIndex:
             if cls in seen:
                 continue
             seen.add(cls)
-            qual = f"{cls}.{meth}"
-            if qual in self.functions:
-                return qual
+            yield cls
             info = self.classes.get(cls)
             if info is not None:
                 queue.extend(info.bases)
+
+    def method(self, cls_qual: str, meth: str) -> Optional[str]:
+        """Resolve ``meth`` against ``cls_qual``'s project MRO (BFS)."""
+        for cls in self._mro(cls_qual):
+            qual = f"{cls}.{meth}"
+            if qual in self.functions:
+                return qual
         return None
 
     def resolve_callee(self, callee: str) -> Optional[str]:
@@ -240,20 +245,17 @@ class ProjectIndex:
             return None
         return None
 
+    def mro_alias(self, cls_qual: str, attr: str) -> Optional[str]:
+        """The module-level name ``self.attr`` is bound to, nearest
+        first in the MRO, or None."""
+        for cls in self._mro(cls_qual):
+            info = self.classes.get(cls)
+            if info is not None and attr in info.state_aliases:
+                return info.state_aliases[attr]
+        return None
+
     def mro_attr(self, cls_qual: str, attr: str, field: str) -> bool:
         """True when ``attr`` is in ``field`` anywhere in the MRO."""
-        queue: deque = deque([cls_qual])
-        seen: set = set()
-        while queue:
-            cls = queue.popleft()
-            if cls in seen:
-                continue
-            seen.add(cls)
-            info = self.classes.get(cls)
-            if info is None:
-                continue
-            if attr in getattr(info, field):
-                return True
-            queue.extend(info.bases)
-        return False
+        return any(attr in getattr(self.classes[cls], field)
+                   for cls in self._mro(cls_qual) if cls in self.classes)
 

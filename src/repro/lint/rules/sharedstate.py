@@ -63,6 +63,26 @@ class ModuleStateRule(ProjectRule):
                     f"({w.display}) — shared across every engine in "
                     "this process; move it onto the Engine",
                 )
+        # the same writes through an instance alias: self.x = MUTABLE,
+        # then self.x[k] = v or self.x.update(...)
+        for qual in sorted(project.classes):
+            info = project.classes[qual]
+            if project.in_boundary(info.path, STATE_BOUNDARY):
+                continue
+            idx = project.files[info.path]
+            for attr, line, col, display in info.self_mutations:
+                target = project.mro_alias(qual, attr)
+                owner = None if target is None \
+                    else project.state_owner(target, idx)
+                if owner is None or owner[0] != "mutable":
+                    continue
+                reporter.report(
+                    self, info.path, line, col,
+                    f"{display} writes module-level mutable "
+                    f"'{owner[1]}' through the alias self.{attr} — shared "
+                    "across every engine in this process; move it onto "
+                    "the Engine",
+                )
 
 
 class ClassAttrRule(ProjectRule):

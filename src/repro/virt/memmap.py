@@ -28,8 +28,9 @@ Correctness and cost are separated deliberately:
   and are charged as one visit/level delta: the charge is linear in the
   count, so the sum is the same as entry by entry. The RB backend
   replays a recurring attach/detach cycle from the visits the tree
-  itself charged for it, and builds the tree whenever a replay cannot
-  stand in for it (see :class:`_RbBackend`).
+  itself charged for it, out of one table shared by every map in the
+  host process, and builds the tree whenever a replay cannot stand in
+  for it (see :class:`_RbBackend`).
 
 A last-entry cache (TLB-like) fronts :meth:`translate`; sequential
 translations through a large VM-RAM entry hit it almost always, which is
@@ -77,9 +78,21 @@ class TranslationError(KeyError):
     """GPA not covered by any memory-map entry."""
 
 
-#: A memoized cycle: the base tree's :meth:`RedBlackTree.shape` and the
+#: A cycle's key: the base tree's :meth:`RedBlackTree.shape` and the
 #: batch size.
 _CycleKey = Tuple[Tuple[int, ...], int]
+#: A cycle's record: the insert visits, then the delete visits and the
+#: base's shape after the delete (both None until a delete completes it).
+_Cycle = Tuple[int, Optional[int], Optional[Tuple[int, ...]]]
+
+#: Every RB backend's cycle records, shared by the whole host process: a
+#: record is a pure function of its key, so a table warmed by any map,
+#: engine or order holds the same values as a cold one.
+_CYCLES: Dict[_CycleKey, _Cycle] = {}
+
+
+def _remember(key: _CycleKey, cycle: _Cycle) -> None:
+    _CYCLES[key] = cycle  # repro: noqa[REP110] reason=values are a pure function of the key (base shape and colours, batch size), so sharing the table across maps and engines cannot move a simulated value
 
 
 class _RbBackend:
@@ -89,27 +102,33 @@ class _RbBackend:
     A guest attach inserts a batch of keys that ascend from above the
     tree's maximum (the VMM hands out guest-physical space from a
     monotone cursor), and its detach deletes exactly that batch again,
-    so in steady state every attach finds the same base tree. Such a
-    cycle's visits depend only on the base's shape and colours and on
-    the batch size, and the backend replays them instead of rebuilding
-    the same nodes:
+    so in steady state every attach finds the same few base trees. Such
+    a cycle's visits, and the base's shape after the delete, depend only
+    on the base's shape and colours and on the batch size, and the
+    backend replays them from the process-wide table :data:`_CYCLES`
+    instead of rebuilding the same nodes:
 
     * **Record.** A real ascending, above-max insert of ``n`` keys on a
-      base of shape ``S`` with at most ``n`` nodes is remembered; a real
-      delete of exactly that batch, as the very next op, that leaves
-      shape ``S`` again stores ``(S, n) -> (insert visits, delete
-      visits)``.
+      base of shape ``S`` with at most ``n`` nodes stores ``(S, n) ->
+      (insert visits, None, None)`` as soon as it is built; a real
+      delete of exactly that batch, as the very next op, completes it
+      to ``(insert visits, delete visits, shape after the delete)``.
     * **Hit.** A later such insert whose ``(S, n)`` is stored charges
       the stored insert visits (adding them to ``tree.visits`` too) and
-      holds the batch *pending*, unbuilt; a delete of exactly the
-      pending batch charges the stored delete visits and drops it.
+      holds the batch *pending*, unbuilt. A delete of exactly the
+      pending batch charges the stored delete visits, drops the batch
+      and, where the stored shape is not ``S``, relinks the base's own
+      nodes into it (:meth:`RedBlackTree.reshape`), as the real delete
+      would have left them. A record still waiting for its delete half
+      builds the batch and deletes it for real, which completes it.
     * **Miss.** Any other op while a batch is pending — a lookup, an
       insert, a delete of anything else — first builds the batch into
       the tree and raises if that took other visits than were charged.
 
-    The fingerprint (:meth:`RedBlackTree.shape`), the max-key and the
-    order checks count no visits, and a batch smaller than the tree is
-    never fingerprinted, so checking never costs more than the batch.
+    The fingerprint (:meth:`RedBlackTree.shape`), the reshape, the
+    max-key and the order checks count no visits, and a batch smaller
+    than the tree is never fingerprinted, so checking never costs more
+    than the batch.
     """
 
     name = "rbtree"
@@ -117,12 +136,11 @@ class _RbBackend:
     def __init__(self, costs: CostModel):
         self.tree = RedBlackTree()
         self.costs = costs
-        #: (base shape, batch size) -> (insert visits, delete visits).
-        self._memo: Dict[_CycleKey, Tuple[int, int]] = {}
-        #: The replayed, unbuilt batch: (starts, hpas, its memo value).
-        self._pending: Optional[Tuple[np.ndarray, np.ndarray, Tuple[int, int]]] = None
-        #: The last op's real batch insert, while its delete may complete a
-        #: record: (memo key, starts, insert visits).
+        #: The replayed, unbuilt batch: (its key, starts, hpas, its record).
+        self._pending: Optional[
+            Tuple[_CycleKey, np.ndarray, np.ndarray, _Cycle]] = None
+        #: The last op's built batch, while its delete may complete its
+        #: record: (key, starts, insert visits).
         self._recording: Optional[Tuple[_CycleKey, np.ndarray, int]] = None
 
     def _ns(self, visits: int) -> int:
@@ -144,17 +162,19 @@ class _RbBackend:
         return tree.visits - before
 
     def _materialize(self) -> None:
-        """Build the pending batch into the tree; its visits were charged."""
+        """Build the pending batch into the tree; its visits were charged.
+        The built batch may complete its record, as a real insert's."""
         pending, self._pending = self._pending, None
         if pending is None:
             return
-        starts, hpas, (charged, _deleted) = pending
+        key, starts, hpas, (charged, _deleted, _after) = pending
         built = self._build(starts, hpas)
         self.tree.visits -= built
         if built != charged:
             raise AssertionError(
                 f"replayed batch of {len(starts)} keys was charged {charged} "
                 f"visits but building it took {built}")
+        self._recording = (key, starts, charged)
 
     def insert_runs(self, starts: np.ndarray, ends: np.ndarray,
                     hpas: np.ndarray) -> int:
@@ -162,27 +182,30 @@ class _RbBackend:
         self._recording = None
         tree = self.tree
         n = len(starts)
-        key = None
-        if n and n >= tree.size and self._appends(starts):
-            key = (tree.shape(), n)
-            hit = self._memo.get(key)
-            if hit is not None:
-                tree.visits += hit[0]
-                self._pending = (starts.copy(), hpas.copy(), hit)
-                return self._ns(hit[0])
+        if not (n and n >= tree.size and self._appends(starts)):
+            return self._ns(self._build(starts, hpas))
+        key = (tree.shape(), n)
+        hit = _CYCLES.get(key)
+        if hit is not None:
+            tree.visits += hit[0]
+            self._pending = (key, starts.copy(), hpas.copy(), hit)
+            return self._ns(hit[0])
         visits = self._build(starts, hpas)
-        if key is not None:
-            self._recording = (key, starts.copy(), visits)
+        _remember(key, (visits, None, None))
+        self._recording = (key, starts.copy(), visits)
         return self._ns(visits)
 
     def delete_runs(self, starts: np.ndarray, ends: np.ndarray) -> int:
         tree = self.tree
         pending = self._pending
-        if pending is not None and np.array_equal(starts, pending[0]):
-            self._pending = None
-            deleted = pending[2][1]
-            tree.visits += deleted
-            return self._ns(deleted)
+        if pending is not None and np.array_equal(starts, pending[1]):
+            key, _starts, _hpas, (_inserted, deleted, after) = pending
+            if deleted is not None:
+                self._pending = None
+                tree.visits += deleted
+                if after != key[0]:
+                    tree.reshape(after)
+                return self._ns(deleted)
         self._materialize()
         recording, self._recording = self._recording, None
         before = tree.visits
@@ -192,8 +215,8 @@ class _RbBackend:
         visits = tree.visits - before
         if recording is not None:
             key, batch, inserted = recording
-            if np.array_equal(starts, batch) and tree.shape() == key[0]:
-                self._memo[key] = (inserted, visits)
+            if np.array_equal(starts, batch):
+                _remember(key, (inserted, visits, tree.shape()))
         return self._ns(visits)
 
     def lookup(self, gpa_pfn: int) -> int:
@@ -205,7 +228,7 @@ class _RbBackend:
 
     def __len__(self) -> int:
         pending = self._pending
-        return len(self.tree) + (0 if pending is None else len(pending[0]))
+        return len(self.tree) + (0 if pending is None else len(pending[1]))
 
 
 class _RadixBackend:

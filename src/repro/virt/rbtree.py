@@ -26,8 +26,12 @@ then takes the ordinary descent, which refreshes it.
 The tree stays the plain reference: every operation does its real work.
 The memory map's RB backend (:class:`repro.virt.memmap._RbBackend`)
 replays whole recurring batches from counts this tree produced, using
-the visit-free host-side checks :meth:`shape` and :meth:`peek_max_key`;
-whenever a replay cannot stand in for the tree it builds the tree here.
+the visit-free host-side checks :meth:`shape` and :meth:`peek_max_key`.
+Deleting a replayed batch may leave the base in another shape than it
+started in; :meth:`reshape` relinks the base's own nodes into the shape
+the real delete left, recorded as a :meth:`shape` fingerprint, without
+counting visits. Whenever a replay cannot stand in for the tree the
+backend builds the tree here.
 """
 
 from __future__ import annotations
@@ -265,6 +269,39 @@ class RedBlackTree:
                 stack.append(left)
         return tuple(out)
 
+    def reshape(self, fingerprint: Tuple[int, ...]) -> None:
+        """Relink the tree's own nodes into the shape and colours that a
+        :meth:`shape` fingerprint of as many nodes describes, keeping the
+        keys and values in order; counts no visits and drops the spine
+        cache."""
+        if len(fingerprint) != self.size:
+            raise ValueError(f"fingerprint of {len(fingerprint)} nodes for a "
+                             f"tree of {self.size}")
+        nil = self.nil
+        nodes = self._inorder()
+        items = [(node.key, node.value) for node in nodes]
+        self.root = nil
+        slots = [(nil, False)]  # (parent, right child?) in preorder
+        for code, node in zip(fingerprint, nodes):
+            parent, right = slots.pop()
+            node.parent = parent
+            node.left = node.right = nil
+            node.color = RED if code & 4 else BLACK
+            if parent is nil:
+                self.root = node
+            elif right:
+                parent.right = node
+            else:
+                parent.left = node
+            if code & 1:
+                slots.append((node, True))
+            if code & 2:
+                slots.append((node, False))
+        for node, (key, value) in zip(self._inorder(), items):
+            node.key = key
+            node.value = value
+        self._last = None
+
     # -- delete --------------------------------------------------------------------
 
     def delete(self, key: int) -> Any:
@@ -363,8 +400,9 @@ class RedBlackTree:
 
     # -- iteration / validation ---------------------------------------------------------
 
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        """In-order (sorted) iteration; does not count visits."""
+    def _inorder(self) -> List[_Node]:
+        """The nodes in key order; counts no visits."""
+        out: List[_Node] = []
         stack: List[_Node] = []
         cur = self.root
         while stack or cur is not self.nil:
@@ -372,8 +410,14 @@ class RedBlackTree:
                 stack.append(cur)
                 cur = cur.left
             cur = stack.pop()
-            yield cur.key, cur.value
+            out.append(cur)
             cur = cur.right
+        return out
+
+    def items(self) -> Iterator[Tuple[int, Any]]:
+        """In-order (sorted) iteration; does not count visits."""
+        for node in self._inorder():
+            yield node.key, node.value
 
     def keys(self) -> List[int]:
         """All keys in ascending order."""

@@ -127,6 +127,28 @@ def test_cross_module_shared_state(project):
     ]
 
 
+def test_alias_of_an_imported_table_written_in_a_subclass(project):
+    state = "REGISTRY = {}\n"
+    app = (
+        "from state import REGISTRY\n"
+        "\n"
+        "\n"
+        "class Memo:\n"
+        "    def __init__(self):\n"
+        "        self.table = REGISTRY\n"
+        "\n"
+        "\n"
+        "class Child(Memo):\n"
+        "    def put(self, k):\n"
+        "        self.table[k] = 1\n"
+    )
+    paths = project(state=state, app=app)
+    findings, _ = lint_paths(paths)
+    assert [(f.path, f.line, f.code) for f in findings] == [
+        ("app.py", 11, "REP110"),
+    ]
+
+
 def test_method_resolution_walks_the_mro(project):
     base = (
         "import time\n"

@@ -435,6 +435,33 @@ def test_rep110_mutator_method_on_module_list():
           ["REP110"])
 
 
+def test_rep110_write_through_instance_alias():
+    # binding the table to self hides nothing: each write through the
+    # alias is a write to the shared table
+    check("TABLE = {}\n"
+          "class Memo:\n"
+          "    def __init__(self):\n"
+          "        self.table = TABLE\n"
+          "    def put(self, k, v):\n"
+          "        self.table[k] = v\n"
+          "    def merge(self, other):\n"
+          "        self.table.update(other)\n",
+          ["REP110", "REP110"])
+
+
+def test_rep110_instance_alias_read_or_rebound_ok():
+    check("TABLE = {}\n"
+          "class Memo:\n"
+          "    def __init__(self):\n"
+          "        self.table = TABLE\n"
+          "        self.own = {}\n"
+          "    def get(self, k):\n"
+          "        return self.table.get(k)\n"
+          "    def put(self, k, v):\n"
+          "        self.own[k] = v\n",
+          [])
+
+
 def test_rep110_local_container_ok():
     check("def f(k, v):\n"
           "    cache = {}\n"

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw.costs import CostModel
+from repro.virt import memmap
 from repro.virt.memmap import MapEntry, TranslationError, VmmMemoryMap, _RbBackend
 from tests.virt.reference_rbtree import RedBlackTree as ReferenceRedBlackTree
 
@@ -328,18 +329,9 @@ _BATCH_OPS = ("cycle", "append", "delete_batch", "delete_some", "scatter",
               "lookup")
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(0, 63), min_size=30, max_size=150))
-# an append, then two six-key cycles: the first leaves the base in its
-# old shape but other colours, so a colour-blind record would hit
-@example([1, 2, 1, 2, 0, 5, 2, 2, 0, 5, 2, 1])
-def test_rb_backend_memo_matches_reference_replay(choices):
-    """The memoized backend against a memo-free replay on the frozen
-    reference tree, with the same ops: recurring above-max batches and
-    their exact deletes (so records complete and replays hit), partial
-    and out-of-order deletes, non-ascending batches, lookups and inserts
-    while a batch is pending. Equal ns and sizes after every op, equal
-    trees after every lookup (which builds any pending batch)."""
+def _replay_against_reference(choices):
+    """Drive one memoized backend and one memo-free reference with the
+    ops ``choices`` decode to."""
     stream = iter(choices)
 
     def integer(lo, hi):
@@ -389,21 +381,52 @@ def test_rb_backend_memo_matches_reference_replay(choices):
         elif op == "lookup":
             gpa = integer(0, 70)
             assert memo.lookup(gpa) == ref.lookup(gpa)
-            assert memo.tree.keys() == ref.tree.keys()
+            assert list(memo.tree.items()) == list(ref.tree.items())
             memo.tree.validate()
     memo.lookup(0)
     ref.lookup(0)
     assert memo.tree.visits == ref.tree.visits
-    assert memo.tree.keys() == ref.tree.keys() == sorted(present)
+    assert list(memo.tree.items()) == list(ref.tree.items())
+    assert memo.tree.keys() == sorted(present)
     memo.tree.validate()
 
 
-def test_rb_backend_replays_the_steady_attach_cycle():
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=30, max_size=150))
+# an append, then two six-key cycles: the first leaves the base in its
+# old shape but other colours, so a colour-blind record would hit
+@example([1, 2, 1, 2, 0, 5, 2, 2, 0, 5, 2, 1])
+# a two-key append, then a five-key cycle whose delete turns the base's
+# red right child into a red left child: the second map replays that
+# first cycle and relinks its base
+@example([22, 26, 37, 38, 18, 10])
+def test_rb_backend_memo_matches_reference_replay(choices):
+    """Two memoized backends, back to back on one shared cycle table,
+    each against its own memo-free replay on the frozen reference tree,
+    with the same ops: recurring above-max batches and their exact
+    deletes (so records complete, and replays hit within a map and
+    across maps, reshaping the base where a cycle changes it), partial
+    and out-of-order deletes, non-ascending batches, lookups and inserts
+    while a batch is pending. Equal ns and sizes after every op, equal
+    trees after every lookup (which builds any pending batch)."""
+    _replay_against_reference(choices)
+    _replay_against_reference(choices)
+
+
+@pytest.fixture
+def cold_cycles(monkeypatch):
+    """An empty process-wide cycle table for the test, so what it
+    replays does not depend on what ran before it."""
+    monkeypatch.setattr(memmap, "_CYCLES", {})
+
+
+def test_rb_backend_replays_the_steady_attach_cycle(cold_cycles):
     """A VM-shaped map (17 coalesced RAM blocks) attaching and detaching
-    1,024 scattered pages again and again: the first cycle reshapes the
-    base, the second records, the third is replayed without building its
-    batch, and a lookup mid-cycle builds it. Every ns is the literal the
-    real tree charged."""
+    1,024 scattered pages again and again on a cold table: the first
+    cycle records itself and a change of the base's shape, the second
+    records the cycle on that shape, the third is replayed without
+    building its batch, and a lookup mid-cycle builds it. Every ns is the
+    literal the real tree charged."""
     mm = VmmMemoryMap(CostModel())
     for k in range(17):
         mm.insert_mapping(512 * k, np.arange(512) + 600 * k, coalesce=True)
@@ -431,3 +454,44 @@ def test_rb_backend_replays_the_steady_attach_cycle():
     tree.validate()
     assert mm.remove_mapping(gpa, 1024) == 165885
     assert len(tree) == 17
+
+
+def _counting_builds(mm):
+    """``mm``, and the list its RB backend appends the length of every
+    batch it builds to."""
+    built = []
+    build = mm.backend._build
+    mm.backend._build = lambda starts, hpas: (
+        built.append(len(starts)) or build(starts, hpas))
+    return mm, built
+
+
+def _attach_cycles(mm, cycles):
+    """The e2e guest's life: 17 one-page RAM entries, then ``cycles``
+    attach/detach cycles of one 2,048-page batch. Returns every op's ns."""
+    ns = [mm.insert_mapping(4096 * k, np.array([9_000 + k])) for k in range(17)]
+    gpa = 17 * 4096
+    for cycle in range(cycles):
+        ns.append(mm.insert_mapping(gpa, np.arange(100_000, 104_096, 2) + cycle))
+        ns.append(mm.remove_mapping(gpa, 2048))
+        gpa += 2048
+    assert len(mm.backend) == 17
+    return ns
+
+
+def test_second_map_replays_every_cycle(cold_cycles):
+    """Two maps in one process: the first, on a cold table, builds the
+    first cycle (which reshapes its base) and the second (which records
+    the steady one); the second map builds no attach batch at all, its
+    first cycle included, and charges every op the ns of the cold run
+    and of a memo-free map on the frozen reference tree."""
+    costs = CostModel()
+    cold, built_cold = _counting_builds(VmmMemoryMap(costs))
+    warm, built_warm = _counting_builds(VmmMemoryMap(costs))
+    reference = VmmMemoryMap(costs)
+    reference.backend = _ReplayReference(costs)
+    assert (_attach_cycles(cold, 4) == _attach_cycles(warm, 4)
+            == _attach_cycles(reference, 4))
+    # the RAM entries are built one by one either way
+    assert built_cold == [1] * 17 + [2048, 2048]
+    assert built_warm == [1] * 17

@@ -227,3 +227,71 @@ def test_property_visits_match_frozen_reference(initial, ops):
             both("delete", keys[arg % len(keys)] if keys and arg % 2 else arg)
         elif keys:
             both("delete", keys[-1])
+
+
+def _ref_shape(ref):
+    """The reference tree's preorder fingerprint, in :meth:`shape`'s
+    encoding, read off its nodes without the code under test."""
+    nil = ref.nil
+
+    def walk(node):
+        if node is nil:
+            return []
+        code = ((4 if node.color else 0) + (2 if node.left is not nil else 0)
+                + (1 if node.right is not nil else 0))
+        return [code] + walk(node.left) + walk(node.right)
+
+    return tuple(walk(ref.root))
+
+
+def test_reshape_rejects_a_fingerprint_of_another_size():
+    t = RedBlackTree()
+    for k in [1, 2, 3]:
+        t.insert(k, None)
+    with pytest.raises(ValueError):
+        t.reshape((0, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(0, 500), unique=True, max_size=40), st.data())
+def test_property_reshape_lays_out_the_reference_delete(initial, data):
+    """A base built by random inserts and deletes on both trees; the
+    reference then inserts an above-max batch and deletes it again for
+    real, and the live tree is relinked into the reference's result with
+    no visits: same fingerprint, items and invariants, and the next
+    append and delete charge the reference's visits."""
+    tree, ref = RedBlackTree(), ReferenceRedBlackTree()
+    for k in initial:
+        tree.insert(k, 3 * k)
+        ref.insert(k, 3 * k)
+    doomed = data.draw(st.lists(st.sampled_from(initial), unique=True)
+                       if initial else st.just([]))
+    for k in doomed:
+        tree.delete(k)
+        ref.delete(k)
+    top = max(ref.keys(), default=0)
+    n = data.draw(st.integers(max(1, len(ref)), max(1, len(ref)) + 20))
+    gap = data.draw(st.integers(1, 3))
+    batch = list(range(top + 1, top + 1 + gap * n, gap))
+    for k in batch:
+        ref.insert(k, 3 * k)
+    for k in batch:
+        ref.delete(k)
+    visits = tree.visits
+    tree.reshape(_ref_shape(ref))
+    assert tree.visits == visits
+    assert tree.shape() == _ref_shape(ref)
+    assert list(tree.items()) == list(ref.items())
+    tree.validate()
+
+    def both(op, *args):
+        before = (tree.visits, ref.visits)
+        getattr(tree, op)(*args)
+        getattr(ref, op)(*args)
+        assert tree.visits - before[0] == ref.visits - before[1], op
+        assert tree.shape() == _ref_shape(ref)
+        tree.validate()  # after an append, the spine cache is checked too
+
+    both("insert", batch[-1] + 5, 0)
+    both("insert", batch[-1] + 9, 0)
+    both("delete", data.draw(st.sampled_from(ref.keys())))
