@@ -21,6 +21,10 @@ import numpy as np
 
 from repro.hw.costs import PAGE_4K
 
+#: What a never-written frame reads as (hardware zero-fill). Immutable, so
+#: every gather shares the one copy.
+_ZERO_PAGE = bytes(PAGE_4K)
+
 
 class OutOfMemoryError(MemoryError):
     """Raised when a frame allocation cannot be satisfied."""
@@ -411,8 +415,9 @@ class PhysicalMemory:
         """The writable 4096-byte array backing one frame (lazily created).
 
         Asking for the view materializes the frame. Writers go through
-        here; :meth:`MappedRegion.read` does not, and reads a frame that
-        was never materialized as zeros without creating it.
+        here; :meth:`MappedRegion.read`, ``as_array`` and ``checksum`` do
+        not, and read a frame that was never materialized as zeros
+        without creating it.
         """
         if not 0 <= pfn < self.total_frames:
             raise ValueError(f"pfn {pfn} outside physical memory")
@@ -488,26 +493,28 @@ class MappedRegion:
         A read materializes no frame: a frame that was never written
         reads as zeros, as hardware zero-fill would, and stays absent
         from the backing store. The bytes returned are a copy, so
-        nothing can alias the frame through them.
+        nothing can alias the frame through them. A read that spans
+        pages is one join over :meth:`_page_buffers`, sliced to the
+        requested bytes.
         """
         self._check(offset, length)
-        frames = self.mem._frames
         page, in_page = divmod(offset, PAGE_4K)
         if 0 < length <= PAGE_4K - in_page:
-            frame = frames.get(int(self.pfns[page]))
+            frame = self.mem._frames.get(int(self.pfns[page]))
             if frame is None:
                 return bytes(length)
             return frame[in_page : in_page + length].tobytes()
-        out = np.zeros(length, dtype=np.uint8)
-        pos = 0
-        while pos < length:
-            page, in_page = divmod(offset + pos, PAGE_4K)
-            take = min(length - pos, PAGE_4K - in_page)
-            frame = frames.get(int(self.pfns[page]))
-            if frame is not None:
-                out[pos : pos + take] = frame[in_page : in_page + take]
-            pos += take
-        return out.tobytes()
+        last = -(-(offset + length) // PAGE_4K)
+        joined = b"".join(self._page_buffers(page, last - page))
+        return joined[in_page : in_page + length]
+
+    def _page_buffers(self, first: int, count: int) -> list:
+        """The contents of pages ``[first, first + count)``, one buffer
+        each: a written frame's own array, or the shared
+        :data:`_ZERO_PAGE` for a frame never written. Materializes
+        nothing; callers copy out of the buffers, never write to them."""
+        get = self.mem._frames.get
+        return [get(pfn, _ZERO_PAGE) for pfn in self.pfns[first : first + count].tolist()]
 
     def locate_word(self, offset: int):
         """Where the 8-byte word at ``offset`` lives: ``(lookup, pfn, in_page)``.
@@ -536,8 +543,12 @@ class MappedRegion:
         return frame
 
     def as_array(self) -> np.ndarray:
-        """Gather the whole region into one contiguous array (a copy)."""
-        return np.concatenate([self.page_view(i) for i in range(self.npages)])
+        """Gather the whole region into one contiguous array (a copy).
+
+        Like :meth:`read`, materializes no frame."""
+        return np.frombuffer(
+            bytearray().join(self._page_buffers(0, self.npages)), dtype=np.uint8
+        )
 
     def fill(self, value: int) -> None:
         """Set every byte of the region to ``value``."""
@@ -547,10 +558,17 @@ class MappedRegion:
             self.page_view(i)[:] = value
 
     def checksum(self) -> int:
-        """Order-sensitive checksum of the region contents (for tests)."""
+        """Order-sensitive checksum of the region contents (for tests).
+
+        Materializes no frame: a never-written frame is all zeros and
+        adds nothing to the sum."""
         total = 0
-        for i in range(self.npages):
-            page = self.page_view(i).astype(np.uint64)
+        frames = self.mem._frames
+        for i, pfn in enumerate(self.pfns.tolist()):
+            frame = frames.get(pfn)
+            if frame is None:
+                continue
+            page = frame.astype(np.uint64)
             weights = np.arange(1, len(page) + 1, dtype=np.uint64) + np.uint64(i)
             total = (total + int((page * weights).sum())) % (2**61 - 1)
         return total

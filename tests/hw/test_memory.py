@@ -11,6 +11,7 @@ from repro.hw import (
 )
 from repro.hw.costs import MB, PAGE_4K
 from repro.hw.memory import FrameRangeList, MappedRegion, pfns_to_ranges, ranges_to_pfns
+from repro.xemem.shmem import AttachedRegion
 
 
 # -- FrameRange ---------------------------------------------------------------
@@ -367,6 +368,76 @@ def test_read_sees_later_write_through_another_region():
     alias.write(2 * PAGE_4K - 2, b"\xBB\xBB")  # end of region's page 0
     assert region.read(PAGE_4K - 4, 8) == b"\x00\x00\xBB\xBB" + b"\xAA" * 4
     assert region.read(PAGE_4K + 5, 1) == b"\xAA"
+
+
+def _gather_rig(npages=8):
+    """A region over scattered frames in permuted order, some pages written
+    whole, one in part, the rest never written; returns ``(mem, region,
+    model)`` where ``model`` holds the bytes the region must read as."""
+    mem = PhysicalMemory([4 * MB])
+    pfns = ranges_to_pfns(mem.zones[0].allocator.alloc_scattered(npages))
+    region = mem.map_region(pfns[np.random.default_rng(7).permutation(npages)])
+    rng = np.random.default_rng(1)
+    model = bytearray(npages * PAGE_4K)
+    for page in (1, 2, 5, npages - 1):
+        data = rng.integers(0, 256, PAGE_4K, dtype=np.uint8).tobytes()
+        region.write(page * PAGE_4K, data)
+        model[page * PAGE_4K : (page + 1) * PAGE_4K] = data
+    region.write(3 * PAGE_4K + 100, b"\x5a" * 50)  # page 3 resident, mostly zeros
+    model[3 * PAGE_4K + 100 : 3 * PAGE_4K + 150] = b"\x5a" * 50
+    return mem, region, bytes(model)
+
+
+@pytest.mark.parametrize("writable", [True, False])
+@pytest.mark.parametrize("offset,length", [
+    (0, 8 * PAGE_4K),                   # the whole region
+    (0, 2 * PAGE_4K),                   # never written, then written
+    (3 * PAGE_4K, 4 * PAGE_4K),         # partly written, never written, written
+    (6 * PAGE_4K, 2 * PAGE_4K),         # ends on the region's last byte
+    (PAGE_4K, 2 * PAGE_4K),             # written pages only
+    (1, 2 * PAGE_4K),                   # unaligned offset
+    (0, 2 * PAGE_4K + 1),               # unaligned length
+    (PAGE_4K - 1, 3 * PAGE_4K + 2),     # both
+    (0, 0), (PAGE_4K, 0), (5, 0), (8 * PAGE_4K, 0),  # empty reads
+])
+def test_multi_page_reads_equal_the_bytes_written(writable, offset, length):
+    mem, region, model = _gather_rig()
+    view = region if writable else mem.map_region(region.pfns, writable=False)
+    before = mem.resident_frames
+    got = view.read(offset, length)
+    assert type(got) is bytes
+    assert got == model[offset : offset + length]
+    assert mem.resident_frames == before == 5
+
+
+@pytest.mark.parametrize("writable", [True, False])
+def test_as_array_and_checksum_materialize_nothing(writable):
+    mem = PhysicalMemory([4 * MB])
+    pfns = mem.zones[0].allocator.alloc(64).pfns()
+    writer = mem.map_region(pfns)
+    view = writer if writable else mem.map_region(pfns, writable=False)
+    attached = AttachedRegion(apid=1, segid=1, proc=None, vaddr=0, npages=64,
+                              kind="remote", view=view)
+    for arr in (view.as_array(), attached.as_array()):
+        assert arr.shape == (64 * PAGE_4K,) and not arr.any()
+    assert view.checksum() == 0
+    assert mem.resident_frames == 0
+    writer.write(5 * PAGE_4K + 7, b"\x01\x02\x03")
+    writer.write(40 * PAGE_4K, b"\xff" * PAGE_4K)
+    model = np.zeros(64 * PAGE_4K, dtype=np.uint8)
+    model[5 * PAGE_4K + 7 : 5 * PAGE_4K + 10] = (1, 2, 3)
+    model[40 * PAGE_4K : 41 * PAGE_4K] = 0xFF
+    arr = attached.as_array()
+    assert (arr == model).all() and (view.as_array() == model).all()
+    arr[:] = 9  # a writable copy: the region does not change
+    assert view.read(0, 8) == bytes(8)
+    pages = model.reshape(64, PAGE_4K).astype(np.uint64)
+    weights = np.arange(1, PAGE_4K + 1, dtype=np.uint64)
+    expected = 0
+    for i, page in enumerate(pages):
+        expected = (expected + int((page * (weights + np.uint64(i))).sum())) % (2**61 - 1)
+    assert view.checksum() == expected != 0
+    assert mem.resident_frames == 2
 
 
 def test_locate_word_names_the_backing_frame_without_materializing_it():

@@ -11,6 +11,7 @@ from repro.hw.costs import CostModel, MB
 from repro.kernels.noise import PeriodicNoise
 from repro.workloads.compute import noise_aware_compute
 from repro.workloads.stream import (
+    BLOCK_ELEMENTS,
     REAL_ELEMENTS_CAP,
     STREAM_TRAFFIC_MULTIPLE,
     StreamBenchmark,
@@ -113,12 +114,13 @@ def test_stream_rejects_bad_size(rig):
 _FLOAT64_MAX = float(np.finfo(np.float64).max)
 
 
-def _assert_matches_reference(values) -> bool:
+def _assert_matches_reference(values, dtype=np.float64) -> bool:
     """The kernels, fed ``values`` as ``run`` feeds them (a read-only
-    float64 view of a byte copy), return the reference's checksum bit for
-    bit and its verdict; returns that verdict."""
-    data = np.asarray(values, dtype=np.float64).tobytes()
-    source = np.frombuffer(data, dtype=np.float64)
+    view of a byte copy, float64 unless ``dtype`` says otherwise), return
+    the reference's checksum bit for bit and its verdict; returns that
+    verdict."""
+    data = np.asarray(values, dtype=dtype).tobytes()
+    source = np.frombuffer(data, dtype=dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         checksum, ok = StreamBenchmark._real_kernels(source)
         ref_checksum, ref_ok = reference_kernels(source)
@@ -156,6 +158,51 @@ def test_kernels_match_reference_on_overflow_to_inf(values):
     lambda vs: vs + [float("nan")]))
 def test_kernels_match_reference_on_nan_bearing_values(values):
     assert not _assert_matches_reference(values)
+
+
+def _spread_values(size: int, seed: int = 0) -> np.ndarray:
+    """Mixed-sign values over 16 decades, so a sum in another order or
+    grouping than the reference's rounds differently."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+
+
+@pytest.mark.parametrize("size", [
+    1, BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS, BLOCK_ELEMENTS + 1,
+    2 * BLOCK_ELEMENTS + 3, REAL_ELEMENTS_CAP,
+])
+def test_kernels_match_reference_across_block_boundaries(size):
+    assert _assert_matches_reference(_spread_values(size, seed=size))
+
+
+@pytest.mark.parametrize("value,verdict", [
+    (float("nan"), False), (float("inf"), True), (float("-inf"), True),
+])
+@pytest.mark.parametrize("index", [BLOCK_ELEMENTS, 2 * BLOCK_ELEMENTS - 1])
+def test_kernels_match_reference_with_non_finite_value_at_a_block_edge(
+    index, value, verdict
+):
+    values = _spread_values(3 * BLOCK_ELEMENTS)
+    values[index] = value  # first or last element of the interior block
+    assert _assert_matches_reference(values) is verdict
+
+
+@pytest.mark.parametrize("dtype,values", [
+    (np.float32, _spread_values(2 * BLOCK_ELEMENTS + 3).astype(np.float32)),
+    (np.int64, np.random.default_rng(1).integers(
+        -(1 << 62), 1 << 62, 2 * BLOCK_ELEMENTS + 3)),
+])
+def test_kernels_match_reference_on_converted_sources(dtype, values):
+    assert _assert_matches_reference(values, dtype=dtype)
+
+
+def test_kernels_leave_the_source_unmodified():
+    values = _spread_values(2 * BLOCK_ELEMENTS + 3)
+    for writable in (True, False):
+        source = values.copy()
+        source.setflags(write=writable)
+        StreamBenchmark._real_kernels(source)
+        assert source.tobytes() == values.tobytes()
 
 
 def test_kernels_reject_empty_source():
