@@ -151,6 +151,7 @@ class FaultInjector:
             module = self._ns_module()
             if module is None:
                 self.counts["events_skipped"] += 1
+                obs.get().counter("faults.events.skipped").inc()
                 return
             module.restart_nameserver(outage_ns=event.duration_ns)
             self.counts["ns_restarts"] += 1

@@ -6,12 +6,14 @@ segid and name tables (:class:`~repro.xemem.nameserver.NameServer`, on
 exactly one enclave, §4.2), the owner's exports and grants
 (:class:`~repro.xemem.core.SegmentOwner`, §4.3), the attacher's apids and
 mappings (:class:`~repro.xemem.core.Attacher`) and the replay cache
-(:class:`~repro.xemem.core.ReplayCache`). The module is the shell around
-them. It receives and routes messages by §3.2's forwarding rule, runs
-discovery, deduplicates retried requests, admits them under overload
-control, charges modeled costs, opens spans, bumps counters, drives the
-enclave kernel's walks and mappings (SMARTMAP on Kitten, lazy VMAs on
-Linux, eager PFN-list maps across enclaves) and sends the responses.
+(:class:`~repro.xemem.core.ReplayCache`). The name server also decides
+its service's outage window, leases, restart and degradation ladder.
+The module is the shell around them. It receives and routes messages by
+§3.2's forwarding rule, runs discovery, deduplicates retried requests,
+admits them under overload control, charges modeled costs, opens spans,
+bumps counters, drives the enclave kernel's walks and mappings (SMARTMAP
+on Kitten, lazy VMAs on Linux, eager PFN-list maps across enclaves) and
+sends the responses.
 
 Everything time-consuming is a generator run inside the simulation;
 request/response pairs are correlated by ``req_id`` through the pending
@@ -39,7 +41,7 @@ from repro.xemem.ids import (
     XememOverload,
     XememTimeout,
 )
-from repro.xemem.nameserver import NameServer
+from repro.xemem.nameserver import ADMIT, STALE, NameServer
 from repro.xemem import overload as OV
 from repro.xemem.routing import RoutingError, RoutingTable
 from repro.xemem.shmem import AttachedRegion, ExportedSegment
@@ -70,8 +72,6 @@ class XememModule:
         #: set by PiscesManager.crash_enclave; a crashed module drops all
         #: traffic and never raises out of handlers
         self.crashed = False
-        #: name-server restart outage: drop NS traffic until this time
-        self._ns_down_until = 0
         # -- overload protection (default off; one attribute check on the
         # hot path, same zero-cost contract as ``engine.faults``) --
         self.overload: Optional["OV.ModuleOverload"] = None
@@ -167,14 +167,22 @@ class XememModule:
         except (RoutingError, ChannelClosedError, XememError):
             obs.get().counter("xemem.msgs.undeliverable").inc()
 
+    def _fault_plan(self):
+        """The armed fault plan, or None: the one read of whether faults
+        are armed. An armed plan sets request deadlines, turns on replay
+        dedup and, with heartbeats, the name server's leases."""
+        injector = self.engine.faults
+        if injector is not None and injector.active:
+            return injector.plan
+        return None
+
     def _request_policy(self):
         """(deadline_ns, max_retries, backoff). A None deadline waits on
         the response with no timer: the fault-free channel always
         delivers, and the far side always answers (with a result or, when
         overload is armed, a paced rejection worth retrying)."""
-        injector = self.engine.faults
-        if injector is not None and injector.active:
-            plan = injector.plan
+        plan = self._fault_plan()
+        if plan is not None:
             return plan.request_timeout_ns, plan.max_retries, plan.backoff_factor
         if self.overload is not None:
             return None, self.overload.cfg.max_client_retries, 1
@@ -380,31 +388,10 @@ class XememModule:
                 return
             event.trigger(channel)
             return
-        if kind == C.ALLOC_ENCLAVE_ID:
-            req_id = msg.payload["req_id"]
-            if not self.is_name_server:
-                self._forwarded[req_id] = channel
-                yield from self._send(msg)
-                return
-            if self._ns_down_until > self.engine.now:
-                obs.get().counter("faults.ns.dropped_while_down").inc()
-                return
-            replay = self._replay_of(msg)
-            if replay is not None:
-                # a retried allocation replays the assignment instead of
-                # burning a second enclave ID
-                if replay is not IN_SERVICE:
-                    yield from self._send(replay, channel)
-                return
-            new_id = self.nameserver.alloc_enclave_id()
-            obs.get().counter("xemem.ns.enclave_ids").inc()
-            self.routing.learn(new_id, channel)
-            assigned = C.make_command(
-                C.ENCLAVE_ID_ASSIGNED, self.my_id, None,
-                req_id=req_id, enclave_id=new_id,
-            )
-            self.replay.record(req_id, assigned, self._request_dedup_active())
-            yield from self._send(assigned, channel)
+        if kind == C.ALLOC_ENCLAVE_ID and not self.is_name_server:
+            # relay toward the name server (it answers below, with dst None)
+            self._forwarded[msg.payload["req_id"]] = channel
+            yield from self._send(msg)
             return
         if kind == C.ENCLAVE_ID_ASSIGNED:
             req_id = msg.payload["req_id"]
@@ -425,7 +412,7 @@ class XememModule:
         # -- addressed traffic ------------------------------------------------
         dst = msg.payload.get("dst")
         if dst is None and self.is_name_server:
-            yield from self._handle_at_name_server(msg)
+            yield from self._handle_at_name_server(msg, channel)
             return
         if dst is None or dst != self.my_id:
             self._count_forward()
@@ -483,21 +470,24 @@ class XememModule:
 
     # -- retried-request deduplication -------------------------------------
 
-    def _request_dedup_active(self) -> bool:
-        injector = self.engine.faults
-        return injector is not None and injector.active
+    def _cache_for(self, kind: str) -> ReplayCache:
+        """The replay cache for ``kind``: the name server's own for the
+        commands it answers itself, else the module's owner-side one."""
+        if self.nameserver is None or kind in C.SEGID_ADDRESSED:
+            return self.replay
+        return self.nameserver.replay
 
     def _replay_of(self, msg: KernelMessage):
         """The replay cache's verdict on ``msg`` while dedup is on: a copy
         of the cached response to re-send, ``IN_SERVICE`` for a duplicate
         of a request still being served (the original's response answers
         both), or None for a request to serve."""
-        if not self._request_dedup_active():
+        if self._fault_plan() is None:
             return None
         req_id = msg.payload.get("req_id")
         if req_id is None:
             return None
-        seen = self.replay.admit(req_id)
+        seen = self._cache_for(msg.kind).admit(req_id)
         if seen is None:
             return None
         if seen is IN_SERVICE:
@@ -521,79 +511,78 @@ class XememModule:
                  **fields) -> None:
         """Build, record (for replay), and spawn-send a response."""
         resp = C.make_response(request, self.my_id, pfns=pfns, **fields)
-        self.replay.record(request.payload.get("req_id"), resp,
-                           self._request_dedup_active(), rejected)
+        self._cache_for(request.kind).record(
+            request.payload.get("req_id"), resp,
+            self._fault_plan() is not None, rejected)
         self._post(resp)
 
-    # -- name-server failure detection -------------------------------------
+    # -- the name-server service: NameServer decides, the shell acts --------
 
-    def _lease_ns(self) -> Optional[int]:
-        injector = self.engine.faults
-        if injector is not None and injector.active and injector.plan.heartbeats:
-            return injector.plan.lease_ns
-        return None
-
-    def _sweep_leases(self) -> None:
-        """GC every tracked enclave whose lease has expired.
-
-        Deferred at degradation level 2: under pressure the sweep's
-        bookkeeping yields its cycles to the serving hot path; the next
-        sweep below the threshold catches up (leases only get *more*
-        expired)."""
-        lease = self._lease_ns()
-        if lease is None:
-            return
-        ov = self.overload
-        if ov is not None and ov.refresh_level() >= 2:
-            ov.gc_deferred += 1
-            obs.get().counter("overload.ns.gc_deferred").inc()
-            return
-        for eid in self.nameserver.expired_enclaves(self.engine.now, lease):
-            purged = self.gc_enclave(eid)
-            obs.get().counter("xemem.ns.lease_gc").inc()
-            obs.get().counter("xemem.ns.lease_gc_segids").inc(len(purged))
+    def restart_nameserver(self, outage_ns: int = 0) -> None:
+        """Model a name-server restart (:meth:`NameServer.restart`): all
+        NS traffic is dropped for ``outage_ns`` and the service's own
+        replay cache is lost; the module's owner-side cache survives."""
+        if not self.is_name_server:
+            raise XememError("restart_nameserver on a non-name-server enclave")
+        self.nameserver.restart(self.engine.now, outage_ns)
+        obs.get().counter("xemem.ns.restarts").inc()
 
     def gc_enclave(self, enclave_id: int) -> list:
         """Name server: purge a dead enclave's segids; returns them."""
         purged = self.nameserver.gc_enclave(enclave_id)
-        self._count_removed(len(purged))
+        if purged:
+            obs.get().counter("xemem.ns.segids_removed").inc(len(purged))
         return purged
 
-    @staticmethod
-    def _count_removed(n: int) -> None:
-        if n:
-            obs.get().counter("xemem.ns.segids_removed").inc(n)
+    def _sweep_leases(self) -> None:
+        """While heartbeats are armed, run the name server's lease sweep
+        (:meth:`NameServer.sweep_leases`) at the ladder's current level
+        and count what it did."""
+        plan = self._fault_plan()
+        if plan is None or not plan.heartbeats:
+            return
+        ov = self.overload
+        level = ov.refresh_level() if ov is not None else 0
+        expired = self.nameserver.sweep_leases(self.engine.now, plan.lease_ns,
+                                               level)
+        if expired is None:
+            obs.get().counter("overload.ns.gc_deferred").inc()
+            return
+        for eid in expired:
+            purged = self.gc_enclave(eid)
+            obs.get().counter("xemem.ns.lease_gc").inc()
+            obs.get().counter("xemem.ns.lease_gc_segids").inc(len(purged))
 
-    def _note_heartbeat(self, msg: KernelMessage) -> None:
-        src = msg.payload.get("src")
-        if src is not None:
-            self.nameserver.note_heartbeat(src, self.engine.now)
-        self._sweep_leases()
-
-    def restart_nameserver(self, outage_ns: int = 0) -> None:
-        """Model a name-server restart: the service is down for
-        ``outage_ns`` (all NS traffic dropped), and its volatile replay
-        cache is lost. Registrations (the segid map) persist — the paper's
-        name server lives in the management enclave whose state survives a
-        service restart. Leases restart from the recovery time so a
-        momentarily-silent enclave is not GC'd by the outage itself."""
-        if not self.is_name_server:
-            raise XememError("restart_nameserver on a non-name-server enclave")
-        self._ns_down_until = self.engine.now + outage_ns
-        self.replay.clear()
-        self.nameserver.restart_grace(self._ns_down_until)
-        obs.get().counter("xemem.ns.restarts").inc()
-
-    def _handle_at_name_server(self, msg: KernelMessage):
-        """NS-addressed commands: resolve or answer (§4.2)."""
-        kind = msg.kind
-        if self._ns_down_until > self.engine.now:
-            # restart outage window: the service is down; requesters'
-            # retries carry them past it
+    def _handle_at_name_server(self, msg: KernelMessage,
+                               channel: Optional[Channel] = None):
+        """NS-addressed commands: resolve or answer (§4.2). ``channel`` is
+        the hop an ``alloc_enclave_id`` arrived on."""
+        kind, ns = msg.kind, self.nameserver
+        if ns.down(self.engine.now):
             obs.get().counter("faults.ns.dropped_while_down").inc()
             return
         if kind == C.ENCLAVE_HEARTBEAT:
-            self._note_heartbeat(msg)
+            ns.note_heartbeat(msg.payload.get("src"), self.engine.now)
+            self._sweep_leases()
+            return
+        if kind == C.ALLOC_ENCLAVE_ID:
+            replay = self._replay_of(msg)
+            if replay is not None:
+                # a retried allocation replays the assignment instead of
+                # burning a second enclave ID
+                if replay is not IN_SERVICE:
+                    yield from self._send(replay, channel)
+                return
+            new_id = ns.alloc_enclave_id()
+            obs.get().counter("xemem.ns.enclave_ids").inc()
+            self.routing.learn(new_id, channel)
+            req_id = msg.payload["req_id"]
+            assigned = C.make_command(
+                C.ENCLAVE_ID_ASSIGNED, self.my_id, None,
+                req_id=req_id, enclave_id=new_id,
+            )
+            ns.replay.record(req_id, assigned, self._fault_plan() is not None)
+            yield from self._send(assigned, channel)
             return
         # Journey tag: the req_id ties this serving span to the client
         # operation that sent the command (heartbeats excluded — they
@@ -601,39 +590,26 @@ class XememModule:
         with obs.get().span("xemem.ns.handle", self.engine,
                             track=self.enclave.name, kind=kind,
                             req_id=msg.payload.get("req_id")):
-            if self.overload is not None:
-                yield from self._dispatch_protected(msg, self.overload)
-            else:
+            ov = self.overload
+            if ov is None:
                 yield from self._dispatch_at_name_server(msg)
-
-    def _dispatch_protected(self, msg: KernelMessage, ov: "OV.ModuleOverload"):
-        """NS dispatch behind admission control + the degradation ladder.
-
-        Ladder (docs/OVERLOAD.md): level 1 — discovery (lookup/list)
-        sheds before attach; lookups may still be answered from a
-        stale-bounded cache without consuming a serve slot. Level 2 —
-        lease GC defers (see :meth:`_sweep_leases`). Release-class
-        traffic always admits ahead of both.
-        """
-        ov.refresh_level()
-        kind = msg.kind
-        if ov.level >= 1 and kind in (C.LOOKUP_NAME, C.LIST_NAMES):
-            if kind == C.LOOKUP_NAME:
-                cached = ov.lookup_cache.get(msg.payload.get("name"))
-                if cached is not None and (
-                    self.engine.now - cached[1] <= ov.cfg.stale_lookup_ttl_ns
-                ):
-                    ov.stale_hits += 1
-                    ov.controller.count_served_direct()
-                    obs.get().counter("overload.ns.stale_lookups").inc()
-                    self._post(C.make_response(
-                        msg, self.my_id, segid=cached[0], stale=True,
-                    ))
-                    return
-            ov.controller.count_shed_direct()
-            self._reject_overloaded(msg, OV.SHED, ov)
-            return
-        yield from self._serve_admitted(msg, ov, self._dispatch_at_name_server)
+                return
+            # behind admission control and the degradation ladder, whose
+            # verdict NameServer.ladder decides (docs/OVERLOAD.md)
+            ov.refresh_level()
+            verdict, segid = ns.ladder.verdict(kind, msg.payload,
+                                               self.engine.now, ov.cfg)
+            if verdict == ADMIT:
+                yield from self._serve_admitted(msg, ov,
+                                                self._dispatch_at_name_server)
+            elif verdict == STALE:
+                ov.controller.count_served_direct()
+                obs.get().counter("overload.ns.stale_lookups").inc()
+                self._post(C.make_response(msg, self.my_id, segid=segid,
+                                           stale=True))
+            else:
+                ov.controller.count_shed_direct()
+                self._reject_overloaded(msg, OV.SHED, ov)
 
     def _dispatch_at_name_server(self, msg: KernelMessage):
         kind, p = msg.kind, msg.payload
@@ -664,37 +640,23 @@ class XememModule:
         if self._maybe_replay(msg):
             return
         try:
-            fields = self._ns_command(msg)
+            fields = self._ns_command(kind, p)
         except XememError as err:
             fields = {"error": str(err)}
+        else:
+            if kind == C.LOOKUP_NAME and self.overload is not None:
+                # feed the stale-bounded cache the ladder answers from
+                self.nameserver.ladder.remember(p["name"], fields["segid"],
+                                                self.engine.now)
         self._respond(msg, **fields)
 
-    def _ns_command(self, msg: KernelMessage) -> dict:
-        """One name-server command on the core; its response fields."""
-        ns, kind, p = self.nameserver, msg.kind, msg.payload
-        if kind == C.ALLOC_SEGID:
-            segid = ns.alloc_segid(p["src"], p["npages"], p.get("name"))
-            obs.get().counter("xemem.ns.segids_allocated").inc()
-            return {"segid": int(segid)}
-        if kind == C.REMOVE_SEGID:
-            self._count_removed(ns.remove_segid(p["segid"], p["src"]))
-            return {"ok": True}
-        if kind == C.LOOKUP_NAME:
-            segid = ns.lookup_name(p["name"])
-            obs.get().counter("xemem.ns.lookups").inc()
-            if self.overload is not None and segid is not None:
-                # feed the stale-bounded cache the ladder serves from
-                self.overload.lookup_cache[p["name"]] = (segid, self.engine.now)
-            return {"segid": segid}
-        if kind == C.LIST_NAMES:
-            return {"names": ns.list_names(p.get("prefix", ""))}
-        if kind == C.ENCLAVE_DEPART:
-            # routing entries are purged by EnclaveSystem.shutdown_enclave
-            # once the ack has been delivered (the ack still needs them)
-            purged = ns.depart(p["src"])
-            self._count_removed(purged)
-            return {"purged_segids": purged}
-        raise XememError(f"name server cannot handle {kind!r}")
+    def _ns_command(self, kind: str, p: dict) -> dict:
+        """One name-server command (:meth:`NameServer.serve`), remote or
+        the name-server enclave's own: count it, return its fields."""
+        fields, counter, n = self.nameserver.serve(kind, p)
+        if n:
+            obs.get().counter(counter).inc(n)
+        return fields
 
     # ----------------------------------------------------------------- serving
 
@@ -749,7 +711,7 @@ class XememModule:
         o.counter("xemem.attach.served").inc()
         self.stats["attaches_served"] += 1
         resp = C.make_response(msg, self.my_id, pfns=pfns)
-        self.replay.record(p.get("req_id"), resp, self._request_dedup_active())
+        self.replay.record(p.get("req_id"), resp, self._fault_plan() is not None)
         yield from self._send(resp)
 
     # ============================================================== user operations
@@ -765,12 +727,13 @@ class XememModule:
                     npages=npages, segname=name) as sp:
             yield self.engine.sleep(self.costs.export_fixed_ns)
             if self.is_name_server:
-                segid = self.nameserver.alloc_segid(self.my_id, npages, name)
-                o.counter("xemem.ns.segids_allocated").inc()
+                fields = self._ns_command(C.ALLOC_SEGID, {
+                    "src": self.my_id, "npages": npages, "name": name})
             else:
                 resp = yield from self._call(C.ALLOC_SEGID, sp,
                                              npages=npages, name=name)
-                segid = SegmentId(resp.payload["segid"])
+                fields = resp.payload
+            segid = SegmentId(fields["segid"])
         o.counter("xemem.make.count").inc()
         seg = ExportedSegment(segid, proc, vaddr, npages, permit, name)
         self.owner.export(seg)
@@ -780,9 +743,8 @@ class XememModule:
         """Generator: ``xpmem_remove`` — retire the segid."""
         self.owner.retire(proc, seg)
         if self.is_name_server:
-            self._count_removed(
-                self.nameserver.remove_segid(int(seg.segid), self.my_id)
-            )
+            self._ns_command(C.REMOVE_SEGID,
+                             {"segid": int(seg.segid), "src": self.my_id})
             yield self.engine.sleep(self.costs.detach_fixed_ns)
         else:
             yield from self._call(C.REMOVE_SEGID, segid=int(seg.segid))
@@ -794,8 +756,7 @@ class XememModule:
                     segname=name) as sp:
             if self.is_name_server:
                 yield self.engine.sleep(self.costs.detach_fixed_ns)
-                segid = self.nameserver.lookup_name(name)
-                o.counter("xemem.ns.lookups").inc()
+                segid = self._ns_command(C.LOOKUP_NAME, {"name": name})["segid"]
             else:
                 resp = yield from self._call(C.LOOKUP_NAME, sp, name=name)
                 segid = resp.payload["segid"]
@@ -805,7 +766,7 @@ class XememModule:
         """Generator: discoverability — all registered segment names."""
         if self.is_name_server:
             yield self.engine.sleep(self.costs.detach_fixed_ns)
-            return self.nameserver.list_names(prefix)
+            return self._ns_command(C.LIST_NAMES, {"prefix": prefix})["names"]
         resp = yield from self._call(C.LIST_NAMES, prefix=prefix)
         return resp.payload["names"]
 

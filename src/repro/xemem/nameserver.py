@@ -13,6 +13,10 @@ enclave. It is the single authority for:
   can be queried for information regarding the existence and names of
   shared memory regions").
 
+It also decides the service's life cycle and overload behaviour: the
+restart outage window, the lease sweep, a restart that loses the
+service's own replay cache, and the degradation :class:`Ladder`.
+
 It is engine-free protocol core, like :mod:`repro.xemem.core`: the
 hosting :class:`~repro.xemem.module.XememModule` routes the name-server
 commands here and does the sending and counting.
@@ -21,10 +25,18 @@ commands here and does the sending and counting.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.xemem import commands as C
+from repro.xemem.core import ReplayCache
 from repro.xemem.ids import SEGID_BASE, SegmentId, XememError
+
+#: :meth:`Ladder.verdict`'s answers: queue the command for admission,
+#: refuse it, or answer a lookup from the stale-bounded cache.
+ADMIT = "admit"
+SHED = "shed"
+STALE = "stale"
 
 
 @dataclass
@@ -34,6 +46,58 @@ class SegidRecord:
     owner_enclave_id: int
     npages: int
     name: Optional[str] = None
+
+
+@dataclass
+class Ladder:
+    """The name server's degradation ladder (docs/OVERLOAD.md).
+
+    The level follows the admission controller's fill. Level 1 sheds
+    discovery (lookup/list) before attach; a lookup may still be
+    answered from a stale-bounded cache without consuming a serve slot.
+    Level 2 also defers the lease sweep (:meth:`NameServer.sweep_leases`).
+    Release-class traffic is never shed here. ``cfg`` is an
+    ``OverloadConfig``; only its ladder thresholds and TTL are read.
+    """
+
+    level: int = 0
+    level_transitions: int = 0
+    #: name -> (segid, cached_at_ns), fed by remotely served lookups
+    lookup_cache: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+    stale_hits: int = 0
+    gc_deferred: int = 0
+
+    def refresh(self, fill: float, cfg) -> int:
+        """Set the level from the controller ``fill``; returns the level
+        it replaced."""
+        old = self.level
+        if fill >= cfg.defer_gc_fill:
+            self.level = 2
+        elif fill >= cfg.shed_discovery_fill:
+            self.level = 1
+        else:
+            self.level = 0
+        if self.level != old:
+            self.level_transitions += 1
+        return old
+
+    def remember(self, name: str, segid: Optional[int], now_ns: int) -> None:
+        """Cache a served lookup's answer for later stale answers."""
+        if segid is not None:
+            self.lookup_cache[name] = (segid, now_ns)
+
+    def verdict(self, kind: str, payload: dict, now_ns: int,
+                cfg) -> Tuple[str, Optional[int]]:
+        """The verdict on one name-server command at the current level:
+        ``(ADMIT, None)``, ``(SHED, None)`` or ``(STALE, segid)``."""
+        if self.level < 1 or kind not in (C.LOOKUP_NAME, C.LIST_NAMES):
+            return ADMIT, None
+        if kind == C.LOOKUP_NAME:
+            cached = self.lookup_cache.get(payload.get("name"))
+            if cached is not None and now_ns - cached[1] <= cfg.stale_lookup_ttl_ns:
+                self.stale_hits += 1
+                return STALE, cached[0]
+        return SHED, None
 
 
 class NameServer:
@@ -61,6 +125,37 @@ class NameServer:
         #: segids whose owner was garbage-collected (distinct error text
         #: lets requesters distinguish "never existed" from "owner died")
         self._retired_segids: set = set()
+        # -- the service around the tables --
+        #: responses to the commands the service answers itself; volatile
+        #: (a restart loses it), unlike the owner-side cache of its module
+        self.replay = ReplayCache()
+        #: restart outage: every name-server command is dropped until then
+        self.down_until = 0
+        self.ladder = Ladder()
+
+    # -- service life cycle ------------------------------------------------------
+
+    def down(self, now_ns: int) -> bool:
+        """True inside a restart's outage window; requesters' retries
+        carry them past it."""
+        return self.down_until > now_ns
+
+    def restart(self, now_ns: int, outage_ns: int) -> None:
+        """A service restart: down for ``outage_ns``, and the volatile
+        replay cache is lost. Registrations (the segid map) persist — the
+        paper's name server lives in the management enclave whose state
+        survives a service restart. Leases restart from the recovery time
+        so a momentarily-silent enclave is not GC'd by the outage itself."""
+        self.down_until = now_ns + outage_ns
+        self.replay.clear()
+        for eid in self.last_heartbeat_ns:
+            self.last_heartbeat_ns[eid] = self.down_until
+        # rebuild the expiry index in one shot; the old entries are all
+        # superseded and would only be popped to be discarded
+        self._expiry_heap = [
+            (self.down_until, eid) for eid in sorted(self.last_heartbeat_ns)
+        ]
+        heapq.heapify(self._expiry_heap)  # repro: noqa[REP006] reason=expiry index over (stamp_ns, enclave_id) int pairs, a data structure, not event scheduling; ordering is total so iteration is deterministic
 
     # -- enclave ids -----------------------------------------------------------
 
@@ -158,12 +253,33 @@ class NameServer:
             if name.startswith(prefix)
         }
 
+    def serve(self, kind: str, p: dict) -> Tuple[dict, Optional[str], int]:
+        """One command the name server answers itself, from a remote
+        payload or its own enclave's call: the response fields, and the
+        counter to bump by how much."""
+        if kind == C.ALLOC_SEGID:
+            segid = self.alloc_segid(p["src"], p["npages"], p.get("name"))
+            return {"segid": int(segid)}, "xemem.ns.segids_allocated", 1
+        if kind == C.REMOVE_SEGID:
+            removed = self.remove_segid(p["segid"], p["src"])
+            return {"ok": True}, "xemem.ns.segids_removed", int(removed)
+        if kind == C.LOOKUP_NAME:
+            return {"segid": self.lookup_name(p["name"])}, "xemem.ns.lookups", 1
+        if kind == C.LIST_NAMES:
+            return {"names": self.list_names(p.get("prefix", ""))}, None, 0
+        if kind == C.ENCLAVE_DEPART:
+            # routing entries are purged by EnclaveSystem.shutdown_enclave
+            # once the ack has been delivered (the ack still needs them)
+            purged = self.depart(p["src"])
+            return {"purged_segids": purged}, "xemem.ns.segids_removed", purged
+        raise XememError(f"name server cannot handle {kind!r}")
+
     # -- failure detection (fault-injection extension) ---------------------------
 
-    def note_heartbeat(self, enclave_id: int, now_ns: int) -> None:
+    def note_heartbeat(self, enclave_id: Optional[int], now_ns: int) -> None:
         """Record a liveness beacon from ``enclave_id``."""
-        if enclave_id in self.retired_enclaves:
-            return  # a zombie beacon from an already-GC'd enclave
+        if enclave_id is None or enclave_id in self.retired_enclaves:
+            return  # unsigned, or a zombie beacon from an already-GC'd enclave
         self.last_heartbeat_ns[int(enclave_id)] = int(now_ns)
         heapq.heappush(self._expiry_heap, (int(now_ns), int(enclave_id)))  # repro: noqa[REP006] reason=expiry index over (stamp_ns, enclave_id) int pairs, a data structure, not event scheduling; ordering is total so iteration is deterministic
 
@@ -189,6 +305,20 @@ class NameServer:
             heapq.heappush(heap, (self.last_heartbeat_ns[eid], eid))  # repro: noqa[REP006] reason=expiry index over (stamp_ns, enclave_id) int pairs, a data structure, not event scheduling; ordering is total so iteration is deterministic
         return result
 
+    def sweep_leases(self, now_ns: int, lease_ns: int,
+                     level: int) -> Optional[list]:
+        """The enclaves a lease sweep at ladder ``level`` GCs now: every
+        one whose lease has expired.
+
+        Deferred (None) at level 2: under pressure the sweep's
+        bookkeeping yields its cycles to the serving hot path; the next
+        sweep below the threshold catches up (leases only get *more*
+        expired)."""
+        if level >= 2:
+            self.ladder.gc_deferred += 1
+            return None
+        return self.expired_enclaves(now_ns, lease_ns)
+
     def gc_enclave(self, enclave_id: int) -> list:
         """Purge everything a dead enclave owned; returns its segids.
 
@@ -206,18 +336,6 @@ class NameServer:
         self.retired_enclaves.add(enclave_id)
         self.last_heartbeat_ns.pop(int(enclave_id), None)
         return purged
-
-    def restart_grace(self, now_ns: int) -> None:
-        """After a name-server restart: re-stamp every lease from the
-        recovery time, so the outage itself never expires a live enclave."""
-        for eid in self.last_heartbeat_ns:
-            self.last_heartbeat_ns[eid] = int(now_ns)
-        # rebuild the expiry index in one shot; the old entries are all
-        # superseded and would only be popped to be discarded
-        self._expiry_heap = [
-            (int(now_ns), eid) for eid in sorted(self.last_heartbeat_ns)
-        ]
-        heapq.heapify(self._expiry_heap)  # repro: noqa[REP006] reason=expiry index over (stamp_ns, enclave_id) int pairs, a data structure, not event scheduling; ordering is total so iteration is deterministic
 
     @property
     def live_segments(self) -> int:

@@ -30,8 +30,9 @@ number, the same zero-cost contract :mod:`repro.faults` keeps):
   trip a per-destination breaker (closed → open → half-open over
   virtual-time windows) instead of hammering a struggling server with
   unbounded exponential backoff.
-* a degradation ladder (see :meth:`ModuleOverload.refresh_level`) —
-  under pressure the name server sheds discovery before attach, serves
+* a degradation ladder (:class:`~repro.xemem.nameserver.Ladder`, kept by
+  the name server and refreshed by :meth:`ModuleOverload.refresh_level`)
+  — under pressure the name server sheds discovery before attach, serves
   lookups from a stale-bounded cache, and defers lease GC; every level
   transition is a metric and a flight-recorder breadcrumb.
 
@@ -51,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.faults.plan import parse_ns
 from repro.xemem import commands as C
+from repro.xemem.nameserver import Ladder
 
 # -- priority classes ------------------------------------------------------
 
@@ -537,8 +539,8 @@ class CircuitBreaker:
 
 class ModuleOverload:
     """The armed protection state of one :class:`XememModule`:
-    server-side admission, client-side budget/breakers, and (on the
-    name-server module) the degradation ladder."""
+    server-side admission and client-side budget/breakers. Arming the
+    name-server module also starts its degradation ladder afresh."""
 
     def __init__(self, config: OverloadConfig, module):
         self.cfg = config
@@ -550,13 +552,8 @@ class ModuleOverload:
         #: seeded client-side jitter stream (never module-level random)
         self.rng = random.Random(f"overload-client:{config.seed}:{name}")
         self._breakers: Dict[str, CircuitBreaker] = {}
-        # -- name-server degradation ladder --
-        self.level = 0
-        self.level_transitions = 0
-        #: name -> (segid, cached_at_ns); stale-bounded lookup cache
-        self.lookup_cache: Dict[str, tuple] = {}
-        self.stale_hits = 0
-        self.gc_deferred = 0
+        if module.nameserver is not None:
+            module.nameserver.ladder = Ladder()
 
     def breaker_for(self, dst_key: str) -> CircuitBreaker:
         breaker = self._breakers.get(dst_key)
@@ -574,17 +571,14 @@ class ModuleOverload:
         return self.rng.randrange(jitter) if jitter else 0
 
     def refresh_level(self) -> int:
-        """Recompute the degradation level from queue fill; record every
-        transition as metrics + a flight-recorder breadcrumb."""
+        """Recompute the name server's degradation level from queue fill
+        (:meth:`Ladder.refresh`); record every transition as metrics + a
+        flight-recorder breadcrumb."""
+        ladder = self.module.nameserver.ladder
         fill = self.controller.fill
-        new = 0
-        if fill >= self.cfg.defer_gc_fill:
-            new = 2
-        elif fill >= self.cfg.shed_discovery_fill:
-            new = 1
-        if new != self.level:
-            old, self.level = self.level, new
-            self.level_transitions += 1
+        old = ladder.refresh(fill, self.cfg)
+        new = ladder.level
+        if new != old:
             o = obs.get()
             o.gauge("overload.ns.level").set(new)
             o.counter("overload.ns.level_transitions").inc()
@@ -598,17 +592,19 @@ class ModuleOverload:
                     fill=round(fill, 4),
                 )
                 recorder.tick(now)
-        return self.level
+        return new
 
     def fail_all(self, err: Exception) -> None:
         self.controller.fail_all(err)
 
     def snapshot(self) -> Dict[str, object]:
         doc: Dict[str, object] = dict(self.controller.snapshot())
-        doc["level"] = self.level
-        doc["level_transitions"] = self.level_transitions
-        doc["stale_hits"] = self.stale_hits
-        doc["gc_deferred"] = self.gc_deferred
+        ns = self.module.nameserver
+        ladder = ns.ladder if ns is not None else Ladder()  # all zeros
+        doc["level"] = ladder.level
+        doc["level_transitions"] = ladder.level_transitions
+        doc["stale_hits"] = ladder.stale_hits
+        doc["gc_deferred"] = ladder.gc_deferred
         doc["budget_exhausted"] = self.budget.exhausted
         doc["breaker_opens"] = sum(
             self._breakers[key].opens for key in sorted(self._breakers)

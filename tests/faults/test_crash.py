@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.faults import CRASH, FaultEvent, FaultPlan
+from repro import obs
+from repro.enclave.enclave import KernelMessage
+from repro.faults import CRASH, NS_RESTART, FaultEvent, FaultPlan, arm
 from repro.hw.costs import PAGE_4K
 from repro.pisces.pisces import PartitionError
+from repro.sim import Engine
 from repro.xemem import XememError, XememTimeout, XpmemApi
+from repro.xemem import commands as C
 
 from tests.faults.conftest import build_rig, table1_cycle
 
@@ -146,12 +150,50 @@ def test_nameserver_restart_drops_then_recovers():
     assert rig.engine.faults.counts["ns_restarts"] == 1
     assert module.owner.segments[int(segid)].grants_out == 0
     assert rig.engine.queue_len == 0
-    # a restart wipes the replay/dedup caches (the cycle above refilled
-    # them after the scheduled restart fired)
+    # a restart wipes the name server's own replay/dedup cache (the cycle
+    # above refilled it after the scheduled restart fired); the module's
+    # owner-side cache is not the service's and survives
     ns_module = rig.system.name_server_enclave.module
-    assert ns_module.replay.served
+    service = ns_module.nameserver.replay
+    assert service.served
+    ns_module.replay.record("owner:0", "owner-resp", keep=True)
     ns_module.restart_nameserver()
-    assert ns_module.replay.served == {} and ns_module.replay.in_service == set()
+    assert service.served == {} and service.in_service == set()
+    assert ns_module.replay.served == {"owner:0": "owner-resp"}
+
+
+def test_nameserver_restart_keeps_owner_replay_entries():
+    """A GET_REQ retried across a restart to a segment the name-server
+    enclave exports is answered from the owner-side replay cache: the
+    restart loses only the name server's own cache, so the segment is
+    not granted twice."""
+    plan = FaultPlan.parse("timeout=300us,retries=3,nsrestart=@1s:0", seed=0)
+    # no auditor: the GET_REQ below is hand-made, so no attacher holds
+    # the grant it counts
+    rig = build_rig(plan=plan, with_audit=False)
+    eng = rig.engine
+    ns_enclave = rig.system.name_server_enclave
+    ns_module, kernel = ns_enclave.module, ns_enclave.kernel
+    proc = kernel.create_process("exp")
+
+    def export():
+        region = yield from kernel.mmap_anonymous(proc, 4 * PAGE_4K)
+        segid = yield from XpmemApi(proc).xpmem_make(region.start, 4 * PAGE_4K)
+        return segid
+
+    segid = eng.run_process(export())
+    get = C.make_command(C.GET_REQ, rig.cokernels[0].module.my_id, None,
+                         req_id="retried:0", segid=int(segid), write=False)
+
+    def deliver():
+        copy = KernelMessage(kind=get.kind, payload=dict(get.payload))
+        eng.run_process(ns_module._handle(copy, None))
+        eng.run(until_ns=eng.now + 100_000)  # the response goes out
+
+    deliver()
+    ns_module.restart_nameserver(0)
+    deliver()
+    assert ns_module.owner.segments[int(segid)].grants_out == 1
 
 
 def test_crash_unknown_target_is_skipped():
@@ -166,6 +208,18 @@ def test_crash_unknown_target_is_skipped():
     # the rig is untouched: a normal cycle still runs
     module, segid = rig.engine.run_process(table1_cycle(rig))
     assert module.owner.segments[int(segid)].grants_out == 0
+
+
+@pytest.mark.parametrize("action", [CRASH, NS_RESTART])
+def test_skipped_event_is_counted_in_metrics(action):
+    """A bare engine has no partition to crash and no name server to
+    restart: the event is skipped, in the counts and the metrics alike."""
+    with obs.observing(trace=False, metrics=True) as ctx:
+        engine = Engine()
+        injector = arm(engine, FaultPlan(events=[FaultEvent(0, action, "kitten0")]))
+        engine.run()
+    assert injector.counts["events_skipped"] == 1
+    assert ctx.metrics.counter("faults.events.skipped").value == 1
 
 
 def test_force_shutdown_fails_inflight_requests():

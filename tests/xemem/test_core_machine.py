@@ -4,9 +4,12 @@ Hypothesis drives the core role objects directly — the name server, and
 per enclave a segment owner, an attacher and a replay cache — through
 make/remove, get (read-only and writable permits), attach (the window
 checks on both sides), detach, release, subscribe/signal, departure,
-crash-time invalidation and retried or overload-rejected requests. No
-engine, rig or channel is built: :class:`Driver` does what
-``XememModule`` does around each core call, minus the messages.
+crash-time invalidation and retried or overload-rejected requests. The
+name-server service runs beside them on a virtual clock: heartbeats and
+lease sweeps, restarts with their outage window, and the degradation
+ladder in front of remotely served lookups. No engine, rig or channel
+is built: :class:`Driver` does what ``XememModule`` does around each
+core call, minus the messages.
 
 :class:`Model` is an independent pure-Python account of the same
 semantics (it imports nothing from ``repro.xemem``). After every step
@@ -21,9 +24,10 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.xemem import commands as C
 from repro.xemem.core import IN_SERVICE, Attacher, ReplayCache, SegmentOwner
 from repro.xemem.ids import Permit, PermissionError_, XememError, XememOverload
-from repro.xemem.nameserver import NameServer
+from repro.xemem.nameserver import ADMIT, SHED, STALE, NameServer
 from repro.xemem.shmem import ExportedSegment
 
 ENCLAVES = (0, 1, 2)
@@ -33,7 +37,19 @@ PAGE = 4096
 #: Each enclave's physical frames: [eid * FRAMES, (eid + 1) * FRAMES).
 FRAMES = 1000
 
+#: Enclaves that only beacon and register segids at the name server:
+#: the lease sweep may GC them without touching the enclaves above.
+BEACONERS = (5, 6)
+LEASE = 1_000
+#: The ladder's thresholds (an ``OverloadConfig``'s, by duck type).
+LADDER = SimpleNamespace(shed_discovery_fill=0.5, defer_gc_fill=0.75,
+                         stale_lookup_ttl_ns=300)
+
 eids = st.sampled_from(ENCLAVES)
+beaconers = st.sampled_from(BEACONERS)
+#: Clock steps: one reaches the stale TTL exactly, two the lease.
+ticks = st.sampled_from([0, 300, 700, 1_500])
+fills = st.sampled_from([0.0, 0.25, 0.5, 0.6, 0.75, 1.0])
 modes = st.sampled_from([0o666, 0o644, 0o600])
 names = st.sampled_from([None, None, "a", "b"])
 
@@ -67,6 +83,54 @@ class Driver:
         self.replay = {e: ReplayCache() for e in ENCLAVES}
         self.exporter = {e: Proc(10 * e) for e in ENCLAVES}
         self.user = {e: Proc(10 * e + 1) for e in ENCLAVES}
+        self.clock = 0
+
+    # -- the name-server service, as the module's NS path drives it --
+
+    def heartbeat(self, e):
+        """An ``ENCLAVE_HEARTBEAT``; False if the outage dropped it."""
+        if self.ns.down(self.clock):
+            return False
+        self.ns.note_heartbeat(e, self.clock)
+        return True
+
+    def sweep(self, fill):
+        """A lease sweep at the level ``fill`` sets: the GC'd enclaves,
+        or None when the ladder defers the sweep."""
+        self.ns.ladder.refresh(fill, LADDER)
+        expired = self.ns.sweep_leases(self.clock, LEASE, self.ns.ladder.level)
+        if expired is not None:
+            for e in expired:
+                self.ns.gc_enclave(e)
+        return expired
+
+    def register(self, e, name):
+        fields, _counter, _n = self.ns.serve(
+            C.ALLOC_SEGID, {"src": e, "npages": 1, "name": name})
+        return fields["segid"]
+
+    def ns_request(self, kind, payload, req_id, fill):
+        """A name-server command through the outage window, the ladder and
+        the service's replay cache: ("dropped"|"shed"|"stale"|"ok", result)."""
+        if self.ns.down(self.clock):
+            return ("dropped", None)
+        ladder = self.ns.ladder
+        ladder.refresh(fill, LADDER)
+        verdict, segid = ladder.verdict(kind, payload, self.clock, LADDER)
+        if verdict == STALE:
+            return ("stale", segid)
+        if verdict == SHED:
+            return ("shed", None)
+        assert verdict == ADMIT
+        seen = self.ns.replay.admit(req_id)
+        if seen is not None:
+            return seen
+        fields, _counter, _n = self.ns.serve(kind, payload)
+        if kind == C.LOOKUP_NAME:
+            ladder.remember(payload["name"], fields["segid"], self.clock)
+        result = ("ok", fields.get("segid", fields.get("names")))
+        self.ns.replay.record(req_id, result, keep=True)
+        return result
 
     def make(self, e, npages, mode, name):
         segid = self.ns.alloc_segid(e, npages, name)
@@ -202,6 +266,18 @@ class Model:
         self.subs = {}        # segid -> [eid]
         self.served = {e: {} for e in ENCLAVES}   # req_id -> result
         self.crashed = set()
+        # -- the name-server service --
+        self.clock = 0
+        self.down_until = 0
+        self.last_hb = {}        # beaconer -> stamp of its last lease renewal
+        self.gone = set()        # beaconers the lease sweep collected
+        self.beacon_segs = {}    # segid -> beaconer, while registered
+        self.ns_served = {}      # req_id -> result, lost on restart
+        self.level = 0
+        self.transitions = 0
+        self.cache = {}          # name -> (segid, stamp), remote lookups only
+        self.stale_hits = 0
+        self.deferred = 0
 
     @staticmethod
     def err(kind="XememError"):
@@ -379,6 +455,78 @@ class Model:
         return ("ok", torn)
 
 
+    # -- the name-server service ---------------------------------------------
+
+    def down(self):
+        return self.clock < self.down_until
+
+    def heartbeat(self, b):
+        if self.down():
+            return False
+        if b not in self.gone:  # a zombie beacon after GC renews nothing
+            self.last_hb[b] = self.clock
+        return True
+
+    def climb(self, fill):
+        new = 2 if fill >= 0.75 else 1 if fill >= 0.5 else 0
+        self.transitions += new != self.level
+        self.level = new
+
+    def sweep(self, fill):
+        self.climb(fill)
+        if self.level == 2:
+            self.deferred += 1
+            return None
+        expired = sorted(b for b, t in self.last_hb.items() if t + LEASE < self.clock)
+        for b in expired:
+            del self.last_hb[b]
+            self.gone.add(b)
+            for s in [s for s, owner in self.beacon_segs.items() if owner == b]:
+                del self.beacon_segs[s]
+                self.names = {n: x for n, x in self.names.items() if x != s}
+        return expired
+
+    def register(self, b, name):
+        if name is not None and name in self.names:
+            return self.err()
+        segid = self.next_segid
+        self.next_segid += 1
+        self.beacon_segs[segid] = b
+        if name is not None:
+            self.names[name] = segid
+        return ("ok", segid)
+
+    def restart(self, outage):
+        """Registrations survive; the service's replay entries do not;
+        every lease restarts from the end of the outage."""
+        self.down_until = self.clock + outage
+        self.ns_served = {}
+        for b in self.last_hb:
+            self.last_hb[b] = self.down_until
+
+    def ns_request(self, kind, name, req_id, fill):
+        if self.down():
+            return ("dropped", None)
+        self.climb(fill)
+        if self.level >= 1 and kind in ("lookup", "list"):
+            hit = self.cache.get(name) if kind == "lookup" else None
+            if hit is not None and self.clock - hit[1] <= 300:
+                self.stale_hits += 1
+                return ("stale", hit[0])
+            return ("shed", None)
+        if req_id in self.ns_served:
+            return self.ns_served[req_id]
+        if kind == "lookup":
+            segid = self.names.get(name)
+            if segid is not None:
+                self.cache[name] = (segid, self.clock)
+            result = ("ok", segid)
+        else:
+            result = ("ok", dict(sorted(self.names.items())))
+        self.ns_served[req_id] = result
+        return result
+
+
 class CoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -390,6 +538,7 @@ class CoreMachine(RuleBasedStateMachine):
         self.reqs = []      # (eid, req_id, segid, write) of remote gets
         self.req_seq = 0
         self.cache = ReplayCache()
+        self.ns_reqs = []   # (kind, name, req_id) of name-server requests
 
     def alive(self, e):
         return e not in self.model.crashed
@@ -542,6 +691,58 @@ class CoreMachine(RuleBasedStateMachine):
         self.check(got, self.model.crash(e))
         self.forget_handles(e)
 
+    # -------------------------------------------- the name-server service
+
+    def tick(self, dt):
+        self.core.clock += dt
+        self.model.clock += dt
+
+    @rule(b=beaconers, dt=ticks)
+    def heartbeat(self, b, dt):
+        self.tick(dt)
+        self.check(self.core.heartbeat(b), self.model.heartbeat(b))
+
+    @rule(dt=ticks, fill=fills)
+    def lease_sweep(self, dt, fill):
+        self.tick(dt)
+        self.check(self.core.sweep(fill), self.model.sweep(fill))
+
+    @rule(b=beaconers, name=st.sampled_from([None, "c"]))
+    def beaconer_registers(self, b, name):
+        if b in self.model.gone:
+            return  # a collected enclave is dead: it registers nothing
+        got = outcome(lambda: self.core.register(b, name))
+        self.check(got, self.model.register(b, name))
+
+    @rule(outage=st.sampled_from([0, 300, 1_500]))
+    def restart(self, outage):
+        self.core.ns.restart(self.core.clock, outage)
+        self.model.restart(outage)
+        assert not self.core.ns.replay.served and not self.core.ns.replay.in_service
+
+    @rule(data=st.data(), kind=st.sampled_from(["lookup", "lookup", "list"]),
+          retry=st.booleans(), dt=ticks, fill=fills,
+          again=st.sampled_from([None, (0, 0.5), (300, 1.0), (700, 0.6)]))
+    def ns_request(self, data, kind, retry, dt, fill, again):
+        """A remote lookup (mostly of a registered name) or listing; with
+        ``retry``, an earlier one again under its req_id, answered from the
+        service's replay cache unless a restart lost it. ``again`` is the
+        client's next attempt, (delay, fill), under pressure: the ladder
+        may shed it or answer it from the stale-bounded cache."""
+        earlier = self.pick(data, self.ns_reqs) if retry else None
+        if earlier is None:
+            self.req_seq += 1
+            name = self.pick(data, sorted(self.model.names) + ["unregistered"])
+            earlier = (kind, name, f"ns:{self.req_seq}")
+            self.ns_reqs.append(earlier)
+        kind, name, req_id = earlier
+        wire, payload = ((C.LOOKUP_NAME, {"name": name}) if kind == "lookup"
+                         else (C.LIST_NAMES, {"prefix": ""}))
+        for step, level_fill in [(dt, fill)] + ([again] if again else []):
+            self.tick(step)
+            got = self.core.ns_request(wire, payload, req_id, level_fill)
+            self.check(got, self.model.ns_request(kind, name, req_id, level_fill))
+
     # ------------------------------------------------------------- invariants
 
     @invariant()
@@ -564,7 +765,22 @@ class CoreMachine(RuleBasedStateMachine):
             else:
                 assert not owner.owns(segid)
         live = sum(1 for s in self.model.segs if self.model.routable(s))
-        assert self.core.ns.live_segments == live
+        assert self.core.ns.live_segments == live + len(self.model.beacon_segs)
+
+    @invariant()
+    def service_matches(self):
+        ns, model = self.core.ns, self.model
+        assert ns.last_heartbeat_ns == model.last_hb
+        assert ns.down(self.core.clock) == model.down()
+        assert model.gone <= ns.retired_enclaves
+        ladder = ns.ladder
+        assert (ladder.level, ladder.level_transitions, ladder.stale_hits,
+                ladder.gc_deferred) == (model.level, model.transitions,
+                                        model.stale_hits, model.deferred)
+        assert ladder.lookup_cache == model.cache
+        for e in ENCLAVES:
+            # a restart loses the service's entries, never an owner's
+            assert set(self.core.replay[e].served) == set(model.served[e])
 
 
 TestCoreMachine = CoreMachine.TestCase

@@ -91,7 +91,7 @@ def test_sweep_cost_is_o_expired_at_10k_enclaves():
 
 def test_restart_grace_rebuilds_the_index():
     ns = tracked_ns(100)
-    ns.restart_grace(now_ns=50_000)
+    ns.restart(now_ns=50_000, outage_ns=0)
     # nothing expires against the recovery stamp
     assert ns.expired_enclaves(now_ns=50_500, lease_ns=LEASE_NS) == []
     # the rebuilt index is exactly one entry per tracked enclave

@@ -9,6 +9,7 @@ import pytest
 
 from repro.sim import Engine
 from repro.xemem import commands as C
+from repro.xemem.nameserver import NameServer
 from repro.xemem.overload import (
     CLASS_ATTACH, CLASS_DISCOVERY, CLASS_NEW, CLASS_RELEASE,
     CLOSED, HALF_OPEN, OPEN, REJECT, SERVE, SHED,
@@ -292,7 +293,8 @@ def test_breaker_success_resets_failure_streak():
 
 def _fake_module(eng, name="ns"):
     return types.SimpleNamespace(
-        engine=eng, enclave=types.SimpleNamespace(name=name), overload=None
+        engine=eng, enclave=types.SimpleNamespace(name=name), overload=None,
+        nameserver=NameServer(),
     )
 
 
@@ -308,7 +310,7 @@ def test_refresh_level_follows_queue_fill():
     assert ov.refresh_level() == 2
     ov.controller.in_service = 0
     assert ov.refresh_level() == 0
-    assert ov.level_transitions == 3
+    assert ov.module.nameserver.ladder.level_transitions == 3
 
 
 def test_module_jitter_is_seeded_per_enclave():
